@@ -19,19 +19,15 @@ func TestSimSecondSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const horizon = 60.0
-	sc := ftgcs.Config{
-		Topology:    ftgcs.Line(5),
-		ClusterSize: 4,
-		FaultBudget: 1,
-		Rho:         3e-3,
-		Delay:       1e-3,
-		Uncertainty: 1e-4,
-		C2:          4,
-		Eps:         0.25,
-		Seed:        1,
-		Drift:       ftgcs.DriftSpec{Kind: ftgcs.DriftGradient},
-	}.Scenario(ftgcs.WithHorizon(horizon))
-	sys, err := sc.Build()
+	sys, err := ftgcs.NewScenario(
+		ftgcs.WithTopology(ftgcs.Line(5)),
+		ftgcs.WithClusters(4, 1),
+		ftgcs.WithPhysical(3e-3, 1e-3, 1e-4),
+		ftgcs.WithConstants(4, 0.25),
+		ftgcs.WithSeed(1),
+		ftgcs.WithDrift(ftgcs.GradientDrift{}),
+		ftgcs.WithHorizon(horizon),
+	).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,19 +50,15 @@ func TestSimSecondSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// benchGridConfig is the BenchmarkSystemBuild configuration (112 nodes),
-// shared by the build/reset allocation pins.
-func benchGridConfig() ftgcs.Config {
-	return ftgcs.Config{
-		Topology:    ftgcs.Grid(4, 4),
-		ClusterSize: 7,
-		FaultBudget: 2,
-		Rho:         3e-3,
-		Delay:       1e-3,
-		Uncertainty: 1e-4,
-		C2:          4,
-		Eps:         0.25,
-	}
+// benchGridScenario is the BenchmarkSystemBuild configuration (112
+// nodes), shared by the build/reset/pool allocation pins and benchmarks.
+func benchGridScenario() *ftgcs.Scenario {
+	return ftgcs.NewScenario(
+		ftgcs.WithTopology(ftgcs.Grid(4, 4)),
+		ftgcs.WithClusters(7, 2),
+		ftgcs.WithPhysical(3e-3, 1e-3, 1e-4),
+		ftgcs.WithConstants(4, 0.25),
+	)
 }
 
 // TestSystemBuildAllocs pins the wiring cost of a 112-node system. The
@@ -78,9 +70,9 @@ func TestSystemBuildAllocs(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	cfg := benchGridConfig()
+	sc := benchGridScenario()
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := ftgcs.New(cfg); err != nil {
+		if _, err := sc.Build(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -96,18 +88,39 @@ func TestSystemResetAllocs(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	sys, err := ftgcs.New(benchGridConfig())
+	sys, err := benchGridScenario().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	seed := int64(0)
-	avg := testing.AllocsPerRun(10, func() {
+	reset := testing.AllocsPerRun(10, func() {
 		seed++
 		if err := sys.Reset(seed); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg > 160 {
-		t.Errorf("System.Reset allocates %.0f, want ≤ 160 (~113 expected)", avg)
+	if reset > 160 {
+		t.Errorf("System.Reset allocates %.0f, want ≤ 160 (~113 expected)", reset)
+	}
+
+	// A warm pool round trip is that Reset plus two key derivations
+	// (Acquire's and Release's), each allocating the expanded fault list
+	// and one boxed key node per fault — nothing for a fault-free scenario.
+	// It was 24 on top of Reset in the sweep_reuse benchmark's shape when
+	// every comparison expanded both scenarios' fault lists.
+	sc := benchGridScenario().With(ftgcs.WithAttackName("silent", 6, 13))
+	pool := ftgcs.NewSystemPool(1)
+	if sys, err = sc.Build(); err != nil {
+		t.Fatal(err)
+	}
+	pool.Release(sc, sys)
+	warm := testing.AllocsPerRun(10, func() {
+		pool.Release(sc, pool.Acquire(sc))
+	})
+	if st := pool.Stats(); st.Misses != 0 {
+		t.Fatalf("warm pool missed: %+v", st)
+	}
+	if warm > reset+6 {
+		t.Errorf("warm Acquire+Release allocates %.0f, want ≤ Reset's %.0f + 2·(1 + 2 faults)", warm, reset)
 	}
 }

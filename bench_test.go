@@ -70,19 +70,14 @@ func BenchmarkA3_GlobalSkewAblation(b *testing.B)     { benchExperiment(b, "A3",
 // 5-cluster line (k=4, f=1, one Byzantine per cluster) including the
 // global-skew machinery.
 func BenchmarkSystemSimSecond(b *testing.B) {
-	cfg := ftgcs.Config{
-		Topology:    ftgcs.Line(5),
-		ClusterSize: 4,
-		FaultBudget: 1,
-		Rho:         3e-3,
-		Delay:       1e-3,
-		Uncertainty: 1e-4,
-		C2:          4,
-		Eps:         0.25,
-		Seed:        1,
-		Drift:       ftgcs.DriftSpec{Kind: ftgcs.DriftGradient},
-	}
-	sys, err := ftgcs.New(cfg)
+	sys, err := ftgcs.NewScenario(
+		ftgcs.WithTopology(ftgcs.Line(5)),
+		ftgcs.WithClusters(4, 1),
+		ftgcs.WithPhysical(3e-3, 1e-3, 1e-4),
+		ftgcs.WithConstants(4, 0.25),
+		ftgcs.WithSeed(1),
+		ftgcs.WithDrift(ftgcs.GradientDrift{}),
+	).Build()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,19 +92,10 @@ func BenchmarkSystemSimSecond(b *testing.B) {
 // BenchmarkSystemBuild measures system wiring cost for a 4×4 grid of
 // clusters (112 nodes at k=7).
 func BenchmarkSystemBuild(b *testing.B) {
-	cfg := ftgcs.Config{
-		Topology:    ftgcs.Grid(4, 4),
-		ClusterSize: 7,
-		FaultBudget: 2,
-		Rho:         3e-3,
-		Delay:       1e-3,
-		Uncertainty: 1e-4,
-		C2:          4,
-		Eps:         0.25,
-	}
+	sc := benchGridScenario()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ftgcs.New(cfg); err != nil {
+		if _, err := sc.Build(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,17 +105,7 @@ func BenchmarkSystemBuild(b *testing.B) {
 // in place — the per-additional-seed setup cost of a replicate batch. The
 // ratio to BenchmarkSystemBuild is the rebuild tax the reuse path kills.
 func BenchmarkSystemReset(b *testing.B) {
-	cfg := ftgcs.Config{
-		Topology:    ftgcs.Grid(4, 4),
-		ClusterSize: 7,
-		FaultBudget: 2,
-		Rho:         3e-3,
-		Delay:       1e-3,
-		Uncertainty: 1e-4,
-		C2:          4,
-		Eps:         0.25,
-	}
-	sys, err := ftgcs.New(cfg)
+	sys, err := benchGridScenario().Build()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // silent Byzantine node, run for 60 simulated seconds, and check every
 // skew bound the paper proves.
 //
-// The scenario is assembled with the functional-options API; the legacy
-// ftgcs.Config struct remains available and builds through the same path.
+// The scenario is assembled with the functional-options API and built into
+// a System that is then driven by hand; Scenario.Run does both in one call.
 //
 //	go run ./examples/quickstart
 package main

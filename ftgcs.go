@@ -25,31 +25,21 @@
 //
 // # Quick start
 //
-//	cfg := ftgcs.Config{
-//		Topology:    ftgcs.Line(3),  // three clusters in a line
-//		ClusterSize: 4,              // k = 3f+1
-//		FaultBudget: 1,              // tolerate 1 Byzantine per cluster
-//		Rho:         1e-3,           // hardware drift bound
-//		Delay:       1e-3,           // max message delay (s)
-//		Uncertainty: 1e-4,           // delay uncertainty (s)
-//		Seed:        1,
-//	}
-//	sys, err := ftgcs.New(cfg)
+//	sys, err := ftgcs.NewScenario(
+//		ftgcs.WithTopology(ftgcs.Line(3)),    // three clusters in a line
+//		ftgcs.WithClusters(4, 1),             // k = 3f+1, tolerate f = 1 Byzantine per cluster
+//		ftgcs.WithPhysical(1e-3, 1e-3, 1e-4), // drift bound ρ, max delay d (s), uncertainty U (s)
+//		ftgcs.WithSeed(1),
+//	).Build()
 //	if err != nil { ... }
 //	if err := sys.Run(60); err != nil { ... }  // 60 simulated seconds
 //	report := sys.Report()
 //	fmt.Println(report)
 //
-// The equivalent options-based form (see Scenario for the full catalog,
-// Registry for name-based resolution, and Sweep for parallel batches):
-//
-//	rep, err := ftgcs.NewScenario(
-//		ftgcs.WithTopology(ftgcs.Line(3)),
-//		ftgcs.WithClusters(4, 1),
-//		ftgcs.WithPhysical(1e-3, 1e-3, 1e-4),
-//		ftgcs.WithSeed(1),
-//		ftgcs.WithHorizon(60),
-//	).Run()
+// Scenario.Run does the same in one call given WithHorizon(60). See
+// Scenario for the full option catalog, Registry for name-based
+// resolution of topologies and adversaries, and Sweep for parallel
+// batches.
 package ftgcs
 
 import (
@@ -65,16 +55,13 @@ import (
 )
 
 // Re-exported configuration types. These aliases let callers configure
-// drift schedules, delay adversaries and fault injections without
-// importing internal packages.
+// topologies, fault injections and derived constants without importing
+// internal packages (adversary.go re-exports the drift, delay and attack
+// model types).
 type (
 	// Topology is a base cluster graph 𝒢 (see the constructors Line,
 	// Ring, Grid, Torus, Tree, Clique, Star, Hypercube, Random).
 	Topology = graph.Graph
-	// DriftSpec selects how hardware clock rates are assigned.
-	DriftSpec = core.DriftSpec
-	// DelaySpec selects the message delay model.
-	DelaySpec = core.DelaySpec
 	// FaultSpec marks a node Byzantine (strategy, crash, or off-spec
 	// clock).
 	FaultSpec = core.FaultSpec
@@ -86,57 +73,11 @@ type (
 	Preset = params.Preset
 )
 
-// Drift kinds (see core.DriftKind).
+// Analysis-constant presets.
 const (
-	DriftSpread            = core.DriftSpread
-	DriftGradient          = core.DriftGradient
-	DriftHalves            = core.DriftHalves
-	DriftAlternatingHalves = core.DriftAlternatingHalves
-	DriftRandomWalk        = core.DriftRandomWalk
-	DriftSine              = core.DriftSine
-	DriftNone              = core.DriftNone
-	DelayUniform           = core.DelayUniform
-	DelayExtremal          = core.DelayExtremal
-	DelayFixedMid          = core.DelayFixedMid
-	DelayPhasedReveal      = core.DelayPhasedReveal
-	PresetPaperStrict      = params.PaperStrict
-	PresetPractical        = params.Practical
+	PresetPaperStrict = params.PaperStrict
+	PresetPractical   = params.Practical
 )
-
-// Config describes a complete FTGCS deployment.
-type Config struct {
-	// Topology is the base graph 𝒢 whose nodes become clusters.
-	Topology *Topology
-	// ClusterSize is k; must be ≥ 3·FaultBudget+1.
-	ClusterSize int
-	// FaultBudget is f, the tolerated Byzantine nodes per cluster.
-	FaultBudget int
-
-	// Rho bounds hardware clock drift: rates lie in [1, 1+Rho].
-	Rho float64
-	// Delay is the maximum message delay d (seconds).
-	Delay float64
-	// Uncertainty is the delay uncertainty U: delays lie in [d−U, d].
-	Uncertainty float64
-	// Preset selects analysis constants; zero value = PresetPractical.
-	Preset Preset
-	// C2 and Eps override the preset's constants when non-zero
-	// (µ = C2·ρ, contraction margin ε).
-	C2, Eps float64
-
-	Seed  int64
-	Drift DriftSpec
-	// DelayModel selects the delay adversary; zero value = uniform.
-	DelayModel DelaySpec
-	// Faults lists Byzantine nodes (at most FaultBudget per cluster for
-	// the guarantees to hold; exceed it to explore the boundary).
-	Faults []FaultSpec
-	// DisableGlobalSkew turns off the Appendix C machinery (enabled by
-	// default).
-	DisableGlobalSkew bool
-	// SampleInterval is the metrics sampling period; 0 = T/2.
-	SampleInterval float64
-}
 
 // System is a runnable FTGCS simulation.
 type System struct {
@@ -146,17 +87,6 @@ type System struct {
 	sys *core.System
 	b   Backend
 	p   params.Params
-}
-
-// New derives the algorithm parameters and wires the complete system
-// (clusters, observers, GCS controllers, global-skew estimators, fault
-// injections) without running it. It is the legacy entry point; it builds
-// through the same Scenario path as the options API.
-func New(cfg Config) (*System, error) {
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("ftgcs: nil topology")
-	}
-	return cfg.Scenario().Build()
 }
 
 // Params returns the derived algorithm constants.

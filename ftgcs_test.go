@@ -6,45 +6,35 @@ import (
 	"testing"
 )
 
-func quickConfig() Config {
-	return Config{
-		Topology:    Line(3),
-		ClusterSize: 4,
-		FaultBudget: 1,
-		Rho:         1e-3,
-		Delay:       1e-3,
-		Uncertainty: 1e-4,
-		Seed:        1,
-	}
+func quickScenario(opts ...Option) *Scenario {
+	return NewScenario(
+		WithTopology(Line(3)),
+		WithClusters(4, 1),
+		WithPhysical(1e-3, 1e-3, 1e-4),
+		WithSeed(1),
+	).With(opts...)
 }
 
 func TestNewValidation(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Topology = nil
-	if _, err := New(cfg); err == nil {
+	if _, err := quickScenario(WithTopology(nil)).Build(); err == nil {
 		t.Error("nil topology accepted")
 	}
-	cfg = quickConfig()
-	cfg.ClusterSize = 2
-	if _, err := New(cfg); err == nil {
+	if _, err := quickScenario(WithClusters(2, 1)).Build(); err == nil {
 		t.Error("k < 3f+1 accepted")
 	}
-	cfg = quickConfig()
-	cfg.Rho = 0
-	if _, err := New(cfg); err == nil {
+	if _, err := quickScenario(WithPhysical(0, 1e-3, 1e-4)).Build(); err == nil {
 		t.Error("zero drift accepted")
 	}
-	cfg = quickConfig()
-	cfg.Preset = PresetPaperStrict // infeasible at ρ=1e-3
-	if _, err := New(cfg); err == nil {
+	// infeasible at ρ=1e-3
+	if _, err := quickScenario(WithPreset(PresetPaperStrict)).Build(); err == nil {
 		t.Error("infeasible preset accepted")
 	}
 }
 
 func TestEndToEndReport(t *testing.T) {
-	sys, err := New(quickConfig())
+	sys, err := quickScenario().Build()
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
 	p := sys.Params()
 	if err := sys.Run(50 * p.T); err != nil {
@@ -66,14 +56,14 @@ func TestEndToEndReport(t *testing.T) {
 }
 
 func TestByzantineEndToEnd(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Faults = []FaultSpec{
-		{Node: 3, Strategy: AdaptiveTwoFaced()},
-		{Node: 7, Strategy: Silent()},
-		{Node: 11, Strategy: Spam()},
-	}
-	cfg.Drift = DriftSpec{Kind: DriftSpread}
-	sys, err := New(cfg)
+	sys, err := quickScenario(
+		WithFaults(
+			FaultSpec{Node: 3, Strategy: AdaptiveTwoFaced()},
+			FaultSpec{Node: 7, Strategy: Silent()},
+			FaultSpec{Node: 11, Strategy: Spam()},
+		),
+		WithDrift(SpreadDrift{}),
+	).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +76,7 @@ func TestByzantineEndToEnd(t *testing.T) {
 }
 
 func TestClockAccessors(t *testing.T) {
-	sys, err := New(quickConfig())
+	sys, err := quickScenario().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,18 +136,6 @@ func TestTopologyConstructors(t *testing.T) {
 	}
 }
 
-func TestStrategyByName(t *testing.T) {
-	for _, name := range []string{"silent", "spam", "two-faced", "adaptive", "cadence", "oscillate"} {
-		s, err := StrategyByName(name)
-		if err != nil || s == nil {
-			t.Errorf("StrategyByName(%q): %v", name, err)
-		}
-	}
-	if _, err := StrategyByName("bogus"); err == nil {
-		t.Error("bogus strategy accepted")
-	}
-}
-
 func TestDeriveParams(t *testing.T) {
 	p, err := DeriveParams(PresetPractical, 1e-4, 1e-3, 1e-4)
 	if err != nil {
@@ -172,10 +150,7 @@ func TestDeriveParams(t *testing.T) {
 }
 
 func TestOverrideConstants(t *testing.T) {
-	cfg := quickConfig()
-	cfg.C2 = 4
-	cfg.Eps = 0.25
-	sys, err := New(cfg)
+	sys, err := quickScenario(WithConstants(4, 0.25)).Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ func TestTreeSyncTracksRoot(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
 		Base: graph.Line(4), Root: 0, K: 4, F: 1, Params: p, Seed: 1,
-		Drift: core.DriftSpec{Kind: core.DriftSpread},
-		Delay: core.DelaySpec{Kind: core.DelayUniform},
+		Drift: core.SpreadDrift{},
+		Delay: core.UniformDelayModel{},
 	})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -79,7 +79,7 @@ func TestTreeSyncRevealCompressesSkew(t *testing.T) {
 	steady := func(d int) float64 {
 		sys, err := NewSystem(Config{
 			Base: graph.Line(d), Root: 0, K: 4, F: 1, Params: p, Seed: 2,
-			Delay:          core.DelaySpec{Kind: core.DelayExtremal},
+			Delay:          core.ExtremalDelayModel{},
 			SampleInterval: fine,
 		})
 		if err != nil {
@@ -93,7 +93,7 @@ func TestTreeSyncRevealCompressesSkew(t *testing.T) {
 	reveal := func(d int) float64 {
 		sys, err := NewSystem(Config{
 			Base: graph.Line(d), Root: 0, K: 4, F: 1, Params: p, Seed: 2,
-			Delay:          core.DelaySpec{Kind: core.DelayPhasedReveal, SwitchAt: 15 * p.T},
+			Delay:          core.PhasedRevealDelayModel{SwitchAt: 15 * p.T},
 			SampleInterval: fine,
 		})
 		if err != nil {
@@ -121,7 +121,7 @@ func TestTreeSyncDeterminism(t *testing.T) {
 	run := func() float64 {
 		sys, err := NewSystem(Config{
 			Base: graph.Line(3), Root: 0, K: 4, F: 1, Params: p, Seed: 7,
-			Drift: core.DriftSpec{Kind: core.DriftRandomWalk},
+			Drift: core.RandomWalkDrift{},
 		})
 		if err != nil {
 			t.Fatal(err)

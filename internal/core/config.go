@@ -8,8 +8,7 @@
 //
 // Adversaries are pluggable: drift schedules implement DriftModel, message
 // delay strategies implement DelayModel, and Byzantine behaviors implement
-// byzantine.Strategy. The legacy DriftSpec/DelaySpec enums survive as thin
-// shims over the model types.
+// byzantine.Strategy; models.go holds the built-in implementations.
 package core
 
 import (
@@ -20,114 +19,7 @@ import (
 	"ftgcs/internal/graph"
 	"ftgcs/internal/params"
 	"ftgcs/internal/sim"
-	"ftgcs/internal/transport"
 )
-
-// DriftKind selects one of the built-in drift models (legacy enum; new
-// code passes a DriftModel directly).
-type DriftKind int
-
-const (
-	// DriftSpread selects SpreadDrift.
-	DriftSpread DriftKind = iota + 1
-	// DriftGradient selects GradientDrift.
-	DriftGradient
-	// DriftHalves selects HalvesDrift.
-	DriftHalves
-	// DriftAlternatingHalves selects AlternatingHalvesDrift.
-	DriftAlternatingHalves
-	// DriftRandomWalk selects RandomWalkDrift.
-	DriftRandomWalk
-	// DriftSine selects SineDrift.
-	DriftSine
-	// DriftNone selects NoDrift.
-	DriftNone
-)
-
-// DriftSpec is the legacy enum-style drift configuration. It implements
-// DriftModel by delegating to the corresponding model type, so existing
-// `Drift: DriftSpec{Kind: …}` call sites keep working unchanged.
-type DriftSpec struct {
-	Kind DriftKind
-	// Period applies to DriftAlternatingHalves and DriftSine. 0 selects
-	// 40·T at build time.
-	Period float64
-	// Step applies to DriftRandomWalk. 0 selects T/3.
-	Step float64
-}
-
-// Model resolves the spec to its model implementation. The zero Kind means
-// DriftSpread (the historical default).
-func (s DriftSpec) Model() DriftModel {
-	switch s.Kind {
-	case DriftGradient:
-		return GradientDrift{}
-	case DriftHalves:
-		return HalvesDrift{}
-	case DriftAlternatingHalves:
-		return AlternatingHalvesDrift{Period: s.Period}
-	case DriftRandomWalk:
-		return RandomWalkDrift{Step: s.Step}
-	case DriftSine:
-		return SineDrift{Period: s.Period}
-	case DriftNone:
-		return NoDrift{}
-	default:
-		return SpreadDrift{}
-	}
-}
-
-// Name implements DriftModel.
-func (s DriftSpec) Name() string { return s.Model().Name() }
-
-// Rate implements DriftModel.
-func (s DriftSpec) Rate(ctx DriftCtx) clockwork.RateModel { return s.Model().Rate(ctx) }
-
-// DelayKind selects one of the built-in delay models (legacy enum; new
-// code passes a DelayModel directly).
-type DelayKind int
-
-const (
-	// DelayUniform selects UniformDelayModel.
-	DelayUniform DelayKind = iota + 1
-	// DelayExtremal selects ExtremalDelayModel.
-	DelayExtremal
-	// DelayFixedMid selects FixedMidDelayModel.
-	DelayFixedMid
-	// DelayPhasedReveal selects PhasedRevealDelayModel.
-	DelayPhasedReveal
-)
-
-// DelaySpec is the legacy enum-style delay configuration. It implements
-// DelayModel by delegating to the corresponding model type.
-type DelaySpec struct {
-	Kind DelayKind
-	// SwitchAt applies to DelayPhasedReveal.
-	SwitchAt float64
-}
-
-// Model resolves the spec to its model implementation. The zero Kind means
-// DelayUniform (the historical default).
-func (s DelaySpec) Model() DelayModel {
-	switch s.Kind {
-	case DelayExtremal:
-		return ExtremalDelayModel{}
-	case DelayFixedMid:
-		return FixedMidDelayModel{}
-	case DelayPhasedReveal:
-		return PhasedRevealDelayModel{SwitchAt: s.SwitchAt}
-	default:
-		return UniformDelayModel{}
-	}
-}
-
-// Name implements DelayModel.
-func (s DelaySpec) Name() string { return s.Model().Name() }
-
-// Build implements DelayModel.
-func (s DelaySpec) Build(p params.Params, rng *sim.RNG) transport.DelayModel {
-	return s.Model().Build(p, rng)
-}
 
 // FaultSpec marks one physical node faulty.
 //

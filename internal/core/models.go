@@ -52,7 +52,7 @@ type DelayModel interface {
 	Build(p params.Params, rng *sim.RNG) transport.DelayModel
 }
 
-// --- Drift model implementations (the former DriftKind enum cases) ---
+// --- Drift model implementations ---
 
 // SpreadDrift runs member i of every cluster at 1 + ρ·i/(k−1): maximal
 // constant intra-cluster drift.
@@ -173,7 +173,7 @@ func (NoDrift) Name() string { return "none" }
 // Rate implements DriftModel.
 func (NoDrift) Rate(DriftCtx) clockwork.RateModel { return clockwork.Constant{Rate: 1} }
 
-// --- Delay model implementations (the former DelayKind enum cases) ---
+// --- Delay model implementations ---
 
 // UniformDelayModel draws uniformly from [d−U, d].
 type UniformDelayModel struct{}

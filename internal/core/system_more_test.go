@@ -28,7 +28,7 @@ func TestTopologyFamilies(t *testing.T) {
 		t.Run(base.Name(), func(t *testing.T) {
 			sys, err := NewSystem(Config{
 				Base: base, K: 4, F: 1, Params: p, Seed: 21,
-				Drift: DriftSpec{Kind: DriftSpread},
+				Drift: SpreadDrift{},
 			})
 			if err != nil {
 				t.Fatalf("NewSystem: %v", err)
@@ -82,7 +82,7 @@ func TestInjectClockFaultHealsWithinMargin(t *testing.T) {
 	run := func(mag float64) (intraTail float64) {
 		sys, err := NewSystem(Config{
 			Base: graph.Line(2), K: 4, F: 0, Params: p, Seed: 23,
-			Drift: DriftSpec{Kind: DriftNone},
+			Drift: NoDrift{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +135,7 @@ func TestStaggeredStartConverges(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
 		Base: graph.Line(1), K: 4, F: 1, Params: p, Seed: 25,
-		Drift:        DriftSpec{Kind: DriftSpread},
+		Drift:        SpreadDrift{},
 		StaggerStart: 2 * p.EG,
 	})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestGCSStatsAccumulate(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
 		Base: graph.Line(3), K: 4, F: 0, Params: p, Seed: 27,
-		Drift: DriftSpec{Kind: DriftGradient},
+		Drift: GradientDrift{},
 	})
 	if err != nil {
 		t.Fatal(err)

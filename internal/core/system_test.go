@@ -44,7 +44,7 @@ func TestFaultFreeLineMeetsAllBounds(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
 		Base: graph.Line(4), K: 4, F: 1, Params: p, Seed: 1,
-		Drift: DriftSpec{Kind: DriftGradient},
+		Drift: GradientDrift{},
 	})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -79,7 +79,7 @@ func TestByzantineLineMeetsBounds(t *testing.T) {
 	}
 	sys, err := NewSystem(Config{
 		Base: base, K: 4, F: 1, Params: p, Seed: 2,
-		Drift:  DriftSpec{Kind: DriftSpread},
+		Drift:  SpreadDrift{},
 		Faults: faults,
 	})
 	if err != nil {
@@ -146,7 +146,7 @@ func TestEstimatesTrackClusterClocks(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
 		Base: graph.Line(3), K: 4, F: 1, Params: p, Seed: 5,
-		Drift: DriftSpec{Kind: DriftSpread},
+		Drift: SpreadDrift{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestGlobalSkewMachinery(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
 		Base: graph.Line(4), K: 4, F: 1, Params: p, Seed: 6,
-		Drift:            DriftSpec{Kind: DriftGradient},
+		Drift:            GradientDrift{},
 		EnableGlobalSkew: true,
 	})
 	if err != nil {
@@ -280,7 +280,7 @@ func TestPulseDiametersRecorded(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
 		Base: graph.Line(2), K: 4, F: 1, Params: p, Seed: 9,
-		Drift: DriftSpec{Kind: DriftSpread},
+		Drift: SpreadDrift{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() Summary {
 		sys, err := NewSystem(Config{
 			Base: graph.Ring(3), K: 4, F: 1, Params: p, Seed: 42,
-			Drift:  DriftSpec{Kind: DriftRandomWalk},
+			Drift:  RandomWalkDrift{},
 			Faults: []FaultSpec{{Node: 1, Strategy: byzantine.Spam{}}},
 		})
 		if err != nil {
@@ -323,46 +323,46 @@ func TestDeterminism(t *testing.T) {
 
 func TestDriftModels(t *testing.T) {
 	p := testParams(t)
-	kinds := []DriftKind{DriftSpread, DriftGradient, DriftHalves,
-		DriftAlternatingHalves, DriftRandomWalk, DriftSine, DriftNone}
-	for _, kind := range kinds {
+	models := []DriftModel{SpreadDrift{}, GradientDrift{}, HalvesDrift{},
+		AlternatingHalvesDrift{}, RandomWalkDrift{}, SineDrift{}, NoDrift{}}
+	for _, m := range models {
 		sys, err := NewSystem(Config{
 			Base: graph.Line(2), K: 4, F: 0, Params: p, Seed: 10,
-			Drift: DriftSpec{Kind: kind},
+			Drift: m,
 		})
 		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
+			t.Fatalf("drift %s: %v", m.Name(), err)
 		}
 		if err := sys.Run(10 * p.T); err != nil {
-			t.Fatalf("kind %d run: %v", kind, err)
+			t.Fatalf("drift %s run: %v", m.Name(), err)
 		}
 		if sum := sys.Summarize(0); sum.MaxIntraSkew > p.ClusterSkewBound() {
-			t.Errorf("drift kind %d: intra skew %v > bound %v", kind, sum.MaxIntraSkew, p.ClusterSkewBound())
+			t.Errorf("drift %s: intra skew %v > bound %v", m.Name(), sum.MaxIntraSkew, p.ClusterSkewBound())
 		}
 	}
 }
 
 func TestDelayModels(t *testing.T) {
 	p := testParams(t)
-	specs := []DelaySpec{
-		{Kind: DelayUniform},
-		{Kind: DelayExtremal},
-		{Kind: DelayFixedMid},
-		{Kind: DelayPhasedReveal, SwitchAt: 5 * p.T},
+	models := []DelayModel{
+		UniformDelayModel{},
+		ExtremalDelayModel{},
+		FixedMidDelayModel{},
+		PhasedRevealDelayModel{SwitchAt: 5 * p.T},
 	}
-	for _, spec := range specs {
+	for _, m := range models {
 		sys, err := NewSystem(Config{
 			Base: graph.Line(2), K: 4, F: 0, Params: p, Seed: 11,
-			Delay: spec,
+			Delay: m,
 		})
 		if err != nil {
-			t.Fatalf("delay %d: %v", spec.Kind, err)
+			t.Fatalf("delay %s: %v", m.Name(), err)
 		}
 		if err := sys.Run(15 * p.T); err != nil {
-			t.Fatalf("delay %d run: %v", spec.Kind, err)
+			t.Fatalf("delay %s run: %v", m.Name(), err)
 		}
 		if sum := sys.Summarize(0); sum.MaxIntraSkew > p.ClusterSkewBound() {
-			t.Errorf("delay kind %d: intra skew %v > bound", spec.Kind, sum.MaxIntraSkew)
+			t.Errorf("delay %s: intra skew %v > bound", m.Name(), sum.MaxIntraSkew)
 		}
 	}
 }
@@ -373,7 +373,7 @@ func TestPlainGCSViaK1(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
 		Base: graph.Line(5), K: 1, F: 0, Params: p, Seed: 12,
-		Drift: DriftSpec{Kind: DriftGradient},
+		Drift: GradientDrift{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +409,7 @@ func BenchmarkLineD4Round(b *testing.B) {
 	}
 	sys, err := NewSystem(Config{
 		Base: graph.Line(4), K: 4, F: 1, Params: p, Seed: 1,
-		Drift: DriftSpec{Kind: DriftGradient},
+		Drift: GradientDrift{},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -6,8 +6,11 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node in a graph. IDs are dense, 0-based.
@@ -19,6 +22,11 @@ type Graph struct {
 	adj [][]NodeID
 	// name describes the topology for reports ("line-8", "grid-4x4", ...).
 	name string
+	// digest caches Digest while digested is set; AddEdge clears it. The
+	// mutex orders concurrent Digest calls (sweep workers share graphs).
+	digestMu sync.Mutex
+	digested bool
+	digest   [sha256.Size]byte
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -41,32 +49,30 @@ func (g *Graph) M() int {
 	return total / 2
 }
 
-// Equal reports whether g and other are structurally identical: same
-// size, same name, and element-wise identical adjacency lists —
-// including neighbor order, because the simulator consumes adjacency in
-// order, so only order-identical graphs are guaranteed to drive
-// byte-identical simulations. This is the equality the topology
-// interner uses to decide two independently resolved graphs are
-// interchangeable build inputs.
-func (g *Graph) Equal(other *Graph) bool {
-	if g == nil || other == nil {
-		return g == other
+// Digest returns the SHA-256 of the graph's structure: name, size and every
+// adjacency list — including neighbor order, because the simulator consumes
+// adjacency in order, so only order-identical graphs are guaranteed to
+// drive byte-identical simulations. Two graphs with equal digests are
+// interchangeable build inputs. The digest is cached; AddEdge invalidates
+// it.
+func (g *Graph) Digest() [sha256.Size]byte {
+	g.digestMu.Lock()
+	defer g.digestMu.Unlock()
+	if g.digested {
+		return g.digest
 	}
-	if g.n != other.n || g.name != other.name {
-		return false
-	}
-	for v := range g.adj {
-		a, b := g.adj[v], other.adj[v]
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
+	// Small graphs encode within the constant capacity, on the stack.
+	buf := binary.AppendUvarint(make([]byte, 0, 512), uint64(len(g.name)))
+	buf = append(buf, g.name...)
+	buf = binary.AppendUvarint(buf, uint64(g.n))
+	for _, nbrs := range g.adj {
+		buf = binary.AppendUvarint(buf, uint64(len(nbrs)))
+		for _, v := range nbrs {
+			buf = binary.AppendUvarint(buf, uint64(v))
 		}
 	}
-	return true
+	g.digest, g.digested = sha256.Sum256(buf), true
+	return g.digest
 }
 
 // AddEdge inserts the undirected edge {u, v}. Self-loops and duplicate
@@ -85,6 +91,7 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 	}
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
+	g.digested = false
 	return nil
 }
 

@@ -32,6 +32,36 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
+// TestDigest pins what the digest covers — name, size and ordered
+// adjacency — and that AddEdge invalidates the cached value.
+func TestDigest(t *testing.T) {
+	build := func(name string, n int, edges ...[2]int) *Graph {
+		g := New(n, name)
+		for _, e := range edges {
+			g.mustAddEdge(e[0], e[1])
+		}
+		return g
+	}
+	ref := Line(3)
+	if build("line-3", 3, [2]int{0, 1}, [2]int{1, 2}).Digest() != ref.Digest() {
+		t.Error("independently built equal graphs must share a digest")
+	}
+	for name, g := range map[string]*Graph{
+		"name":            build("path-3", 3, [2]int{0, 1}, [2]int{1, 2}),
+		"size":            build("line-3", 4, [2]int{0, 1}, [2]int{1, 2}),
+		"adjacency order": build("line-3", 3, [2]int{1, 2}, [2]int{0, 1}),
+	} {
+		if g.Digest() == ref.Digest() {
+			t.Errorf("digest ignores %s", name)
+		}
+	}
+	before := ref.Digest()
+	ref.mustAddEdge(0, 2)
+	if ref.Digest() == before {
+		t.Error("AddEdge did not invalidate the cached digest")
+	}
+}
+
 func TestLine(t *testing.T) {
 	g := Line(5)
 	if g.N() != 5 || g.M() != 4 {

@@ -14,14 +14,10 @@
 package jobs
 
 import (
-	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -30,168 +26,8 @@ import (
 	"ftgcs"
 	"ftgcs/internal/cas"
 	"ftgcs/internal/metrics"
-	"ftgcs/internal/spec"
 	"ftgcs/internal/telemetry"
 )
-
-// MaxReplicate bounds the replication fan-out of a single request.
-const MaxReplicate = 4096
-
-// Request is one unit of submittable work: a spec, optionally fanned out
-// across consecutive seeds.
-type Request struct {
-	Spec spec.ScenarioSpec `json:"spec"`
-	// Replicate ≥ 2 runs the spec at seeds Seed, Seed+1, …, Seed+N−1 and
-	// aggregates; 0 and 1 both mean a single run.
-	Replicate int `json:"replicate,omitempty"`
-	// IncludeSeries attaches the recorded skew time series to the result
-	// (single runs only; ignored when replicating).
-	IncludeSeries bool `json:"includeSeries,omitempty"`
-}
-
-// normalized canonicalizes the request so that equivalent requests hash
-// identically: the spec is normalized, replicate 0 collapses to 1, and
-// the series flag is dropped where it has no effect.
-func (r Request) normalized() Request {
-	r.Spec = r.Spec.Normalize()
-	if r.Replicate < 1 {
-		r.Replicate = 1
-	}
-	if r.Replicate > 1 {
-		r.IncludeSeries = false
-	}
-	return r
-}
-
-// ID returns the request's content hash — the job ID. Requests that mean
-// the same work (same canonical spec, same replication, same series
-// flag) get the same ID regardless of JSON spelling.
-func (r Request) ID() (string, error) {
-	id, _, err := r.normalized().identity()
-	return id, err
-}
-
-// identity derives the job ID and the spec's content hash from one
-// canonical encoding pass. r must already be normalized.
-func (r Request) identity() (id, specHash string, err error) {
-	c, err := r.Spec.Canonical()
-	if err != nil {
-		return "", "", err
-	}
-	sum := sha256.Sum256(c)
-	h := sha256.New()
-	h.Write(c)
-	fmt.Fprintf(h, "|replicate=%d|series=%t", r.Replicate, r.IncludeSeries)
-	return "sha256:" + hex.EncodeToString(h.Sum(nil)), "sha256:" + hex.EncodeToString(sum[:]), nil
-}
-
-// State is a job's lifecycle position. Done, failed and canceled are
-// terminal; done and failed results are cached (both are deterministic in
-// the request), canceled jobs are dropped entirely — a canceled run is
-// partial work, so resubmitting the same spec must run it again.
-type State string
-
-const (
-	StateQueued   State = "queued"
-	StateRunning  State = "running"
-	StateDone     State = "done"
-	StateFailed   State = "failed"
-	StateCanceled State = "canceled"
-)
-
-// Terminal reports whether the state is final (done, failed, canceled).
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
-// Stat is a Welford mean/std aggregate with a 95% normal confidence
-// half-width. Std and CI95 are NaN (JSON null) below 2 samples.
-type Stat struct {
-	N    int
-	Mean float64
-	Std  float64
-	CI95 float64
-}
-
-// UnmarshalJSON is MarshalJSON's inverse (null → NaN), so a Result that
-// round-trips through the disk store re-encodes byte-identically.
-func (s *Stat) UnmarshalJSON(b []byte) error {
-	var aux struct {
-		N    int      `json:"n"`
-		Mean *float64 `json:"mean"`
-		Std  *float64 `json:"std"`
-		CI95 *float64 `json:"ci95"`
-	}
-	if err := json.Unmarshal(b, &aux); err != nil {
-		return err
-	}
-	f := func(p *float64) float64 {
-		if p == nil {
-			return math.NaN()
-		}
-		return *p
-	}
-	*s = Stat{N: aux.N, Mean: f(aux.Mean), Std: f(aux.Std), CI95: f(aux.CI95)}
-	return nil
-}
-
-// MarshalJSON uses the canonical float encoding (non-finite → null) with
-// fixed key order, keeping aggregate payloads byte-stable.
-func (s Stat) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 96)
-	b = append(b, `{"n":`...)
-	b = fmt.Appendf(b, "%d", s.N)
-	b = append(b, `,"mean":`...)
-	b = metrics.AppendJSONFloat(b, s.Mean)
-	b = append(b, `,"std":`...)
-	b = metrics.AppendJSONFloat(b, s.Std)
-	b = append(b, `,"ci95":`...)
-	b = metrics.AppendJSONFloat(b, s.CI95)
-	b = append(b, '}')
-	return b, nil
-}
-
-// newStat converts a Welford accumulator into a Stat.
-func newStat(w *metrics.Welford) Stat {
-	std := w.Std()
-	ci := 1.96 * std / math.Sqrt(float64(w.N()))
-	return Stat{N: w.N(), Mean: w.Mean(), Std: std, CI95: ci}
-}
-
-// Aggregate summarizes the replicated runs' headline maxima.
-type Aggregate struct {
-	IntraClusterSkew Stat `json:"intraClusterSkew"`
-	LocalSkew        Stat `json:"localSkew"`
-	GlobalSkew       Stat `json:"globalSkew"`
-}
-
-// Replicates carries the per-seed reports and their aggregate.
-type Replicates struct {
-	N         int            `json:"n"`
-	Seeds     []int64        `json:"seeds"`
-	Reports   []ftgcs.Report `json:"reports"`
-	Aggregate Aggregate      `json:"aggregate"`
-}
-
-// Result is a completed experiment's payload. For replicated requests the
-// top-level report/summary are the base seed's run and Replicates holds
-// the fan-out. Marshalling a Result is deterministic (every component
-// uses canonical encoders), which is what makes "cache hit ⇒
-// byte-identical response" a guarantee rather than an accident.
-type Result struct {
-	SpecHash string `json:"specHash"`
-	// Name is the spec's display name. Names are excluded from job
-	// identity (the content hash), so coalesced and cached submissions
-	// share one stored result: Submit overlays the submitter's own
-	// display name onto the snapshot it returns, while Get/Wait — which
-	// carry only an ID — report the name of the submission that actually
-	// ran.
-	Name       string            `json:"name,omitempty"`
-	Report     ftgcs.Report      `json:"report"`
-	Summary    ftgcs.Summary     `json:"summary"`
-	Series     []*metrics.Series `json:"series,omitempty"`
-	Replicates *Replicates       `json:"replicates,omitempty"`
-}
 
 // job is the internal lifecycle record.
 type job struct {
@@ -239,190 +75,6 @@ type job struct {
 	prog *progressTracker
 }
 
-// CacheTier identifies which cache layer served a response. The empty
-// tier means the work was (or is being) freshly executed.
-type CacheTier string
-
-const (
-	// TierMemory: served from the in-process LRU.
-	TierMemory CacheTier = "memory"
-	// TierDisk: rehydrated from the on-disk content-addressed store — a
-	// different process (or an earlier life of this one) did the work.
-	TierDisk CacheTier = "disk"
-)
-
-// JobStatus is an external snapshot of a job, shaped for the HTTP API.
-type JobStatus struct {
-	ID       string `json:"id"`
-	SpecHash string `json:"specHash"`
-	State    State  `json:"state"`
-	// Cached names the cache tier that served this response ("memory" or
-	// "disk"); absent when the work was not served from a cache (it was,
-	// or is being, executed for this submission).
-	Cached CacheTier `json:"cached,omitempty"`
-	// Coalesced is true when the submission attached to an identical
-	// in-flight job instead of enqueuing new work.
-	Coalesced bool    `json:"coalesced,omitempty"`
-	Result    *Result `json:"result,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	// Retryable marks a failed batch item whose error was transient
-	// (backpressure, shutdown) rather than a deterministic spec failure:
-	// resubmitting the same item may succeed. See Retryable.
-	Retryable bool `json:"retryable,omitempty"`
-	// Progress reports a running job's live execution progress; nil in
-	// every other state.
-	Progress *Progress `json:"progress,omitempty"`
-
-	// payload, when non-nil, carries Result's pre-marshaled canonical
-	// body: AppendJSON serves the result by splicing Result.Name into
-	// these bytes instead of re-marshaling the struct. Invariant: it is
-	// always the encoding of *Result modulo the name field (WithName
-	// clones Result but keeps the payload — the overlay name is read
-	// from the clone at append time).
-	payload *resultPayload
-}
-
-// Progress is a live snapshot of a running job. Every field advances
-// monotonically over the job's lifetime.
-type Progress struct {
-	// Events is the number of simulation events executed so far, summed
-	// across the job's completed and in-flight runs.
-	Events uint64 `json:"events"`
-	// SimFraction is the fraction (0..1) of the job's total simulated
-	// time already covered: each run contributes its sim-time/horizon
-	// ratio, averaged over the replicate count.
-	SimFraction float64 `json:"simFraction"`
-	// Replicate of Replicates runs have fully finished (1/1 single runs;
-	// i/n while a replication job fans out).
-	Replicate  int `json:"replicate"`
-	Replicates int `json:"replicates"`
-}
-
-// Stats are the manager's cumulative counters plus instantaneous
-// gauges. Every counter is read from the telemetry registry's
-// instruments — the same ones GET /metrics scrapes — so the JSON and
-// Prometheus views of the service can never disagree about a count.
-type Stats struct {
-	Submitted uint64 `json:"submitted"` // new jobs accepted onto the queue
-	Completed uint64 `json:"completed"`
-	Failed    uint64 `json:"failed"`
-	Canceled  uint64 `json:"canceled"` // via Cancel, run budget, or Close
-	Runs      uint64 `json:"runs"`     // simulations actually executed
-	CacheHits uint64 `json:"cacheHits"`
-	// CacheMisses counts lookups the result cache could not answer:
-	// submissions that had to enqueue fresh work, and Get calls for IDs
-	// that are neither in flight nor cached. CacheHits/(CacheHits+
-	// CacheMisses) is the cache hit ratio.
-	CacheMisses uint64 `json:"cacheMisses"`
-	Coalesced   uint64 `json:"coalesced"`
-	Evicted     uint64 `json:"evicted"`
-	// DiskHits counts the subset of CacheHits answered by rehydrating a
-	// result from the on-disk store (zero without a store).
-	DiskHits uint64 `json:"diskHits"`
-	// DiskStored counts results durably written to the disk store.
-	DiskStored uint64 `json:"diskStored"`
-	// StoreErrors counts failed attempts to persist a result (each retry
-	// of each item counts; recovered panics count too).
-	StoreErrors uint64 `json:"storeErrors"`
-	// StoreDegraded is true while the disk-store breaker is open and the
-	// manager is running memory-only. See Manager.Degraded.
-	StoreDegraded bool `json:"storeDegraded"`
-	Queued        int  `json:"queued"`
-	Running       int  `json:"running"`
-	CacheLen      int  `json:"cacheLen"`
-}
-
-// progressTracker aggregates live progress across one job's scenario
-// runs — one for single jobs, N for replication jobs, several possibly
-// in-flight at once on the sweep pool. Sweep workers write it; status
-// snapshots read it concurrently. A run's contribution freezes at its
-// final value when it finishes, so the aggregate is monotone.
-type progressTracker struct {
-	mu           sync.Mutex
-	n            int // total runs (replicate count)
-	inFlight     map[int]trackedRun
-	doneEvents   uint64
-	doneFraction float64
-	doneRuns     int
-	// onDone, when set, fires under mu as each run finishes with the
-	// new done count — the ordering guarantee lets the manager emit
-	// "running[replicate i/n]" trace phases in completion order even
-	// when sweep workers finish out of order.
-	onDone func(done, total int)
-}
-
-// progressSource is the slice of *ftgcs.System the tracker needs: a
-// monotone, cross-goroutine-safe progress snapshot. Narrowing to an
-// interface keeps the tracker testable with deterministic fakes.
-type progressSource interface {
-	Progress() ftgcs.Progress
-}
-
-type trackedRun struct {
-	src     progressSource
-	horizon float64
-}
-
-func newProgressTracker(n int) *progressTracker {
-	return &progressTracker{n: n, inFlight: make(map[int]trackedRun)}
-}
-
-// runFraction is a run's share of its own horizon, clamped to [0, 1].
-func runFraction(now, horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	if now >= horizon {
-		return 1
-	}
-	return now / horizon
-}
-
-// start registers an in-flight system (Sweep.OnSystemStart).
-func (p *progressTracker) start(index int, sys *ftgcs.System, horizon float64) {
-	p.startRun(index, sys, horizon)
-}
-
-// startRun is start over the narrow progressSource interface.
-func (p *progressTracker) startRun(index int, src progressSource, horizon float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.inFlight[index] = trackedRun{src: src, horizon: horizon}
-}
-
-// done freezes a finished run's contribution (Sweep.OnScenarioDone).
-func (p *progressTracker) done(index int, _ ftgcs.SweepResult) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if tr, ok := p.inFlight[index]; ok {
-		delete(p.inFlight, index)
-		sp := tr.src.Progress()
-		p.doneEvents += sp.Events
-		p.doneFraction += runFraction(sp.Now, tr.horizon)
-	}
-	p.doneRuns++
-	if p.onDone != nil {
-		p.onDone(p.doneRuns, p.n)
-	}
-}
-
-// snapshot sums frozen and live contributions.
-func (p *progressTracker) snapshot() Progress {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pr := Progress{Events: p.doneEvents, Replicate: p.doneRuns, Replicates: p.n}
-	frac := p.doneFraction
-	for _, tr := range p.inFlight {
-		sp := tr.src.Progress()
-		pr.Events += sp.Events
-		frac += runFraction(sp.Now, tr.horizon)
-	}
-	if p.n > 0 {
-		pr.SimFraction = frac / float64(p.n)
-	}
-	return pr
-}
-
 // Options configures a Manager.
 type Options struct {
 	// Registry resolves spec names; nil means ftgcs.DefaultRegistry.
@@ -444,17 +96,16 @@ type Options struct {
 	// waits of distinct jobs take distinct locks and never contend.
 	Shards int
 	// PoolSize bounds the cross-job arena pool: completed sweeps park
-	// their built Systems here and later jobs with a matching build key
-	// (Scenario.SameBuild) reset one in place instead of rebuilding
+	// their built Systems here and later jobs with an equal build key
+	// (see ftgcs.SystemPool) reset one in place instead of rebuilding
 	// (≤0: 8 idle systems). NoReuse disables the pool entirely.
 	PoolSize int
 	// SweepWorkers bounds each job's internal ftgcs.Sweep pool
 	// (≤0: GOMAXPROCS). Only replicated jobs fan out.
 	SweepWorkers int
-	// NoReuse disables every system-reuse fast path — the sweep's
-	// per-worker reset reuse AND the manager's cross-job arena pool —
-	// rebuilding the system for every run instead of resetting one in
-	// place. Results are identical either way (the reset contract); this
+	// NoReuse disables system reuse — the manager's cross-job arena pool
+	// and with it every sweep's — rebuilding the system for every run
+	// instead of resetting one in place. Results are identical either way (the reset contract); this
 	// is an escape hatch and the rebuild arm of the reuse benchmarks and
 	// differential golden tests.
 	NoReuse bool
@@ -569,11 +220,9 @@ type Manager struct {
 	running atomic.Int64
 
 	// pool shares built Systems across jobs (nil when NoReuse): sweeps
-	// draw build-key-compatible systems from it and return them when
-	// done. The pool also interns resolved topologies by structural
-	// equality, so independently submitted specs of the same family/size
-	// share one *Topology pointer — the pointer identity SameBuild
-	// requires.
+	// draw systems with an equal build key from it and return them when
+	// done. The key holds the topology's structural digest, so
+	// independently submitted specs of the same family/size match.
 	pool *ftgcs.SystemPool
 
 	// Disk tier (nil store disables it). Completed results are appended
@@ -626,65 +275,6 @@ func (m *Manager) shard(id string) *shard {
 		h = (h ^ uint32(id[i])) * 16777619
 	}
 	return &m.shards[h%uint32(len(m.shards))]
-}
-
-// managerMetrics is the manager's instrument bundle. Children of the
-// labeled families are resolved once here, so recording on the job path
-// is a bare atomic op — no name or label lookups.
-type managerMetrics struct {
-	submitted  *telemetry.Counter
-	runs       *telemetry.Counter
-	coalesced  *telemetry.Counter
-	misses     *telemetry.Counter
-	evicted    *telemetry.Counter
-	diskStored *telemetry.Counter
-	replicates *telemetry.Counter
-
-	storeErrors *telemetry.Counter
-
-	hitsMemory, hitsDisk           *telemetry.Counter // ftgcs_jobs_cache_hits_total{tier}
-	done, failed, canceled         *telemetry.Counter // ftgcs_jobs_terminal_total{state}
-	runDone, runFailed, runCanceld *telemetry.Histogram
-
-	queueWait *telemetry.Histogram
-}
-
-func newManagerMetrics(reg *telemetry.Registry) *managerMetrics {
-	terminal := reg.CounterVec("ftgcs_jobs_terminal_total",
-		"Jobs reaching a terminal state, by state.", "state")
-	hits := reg.CounterVec("ftgcs_jobs_cache_hits_total",
-		"Result-cache hits, by serving tier.", "tier")
-	runDur := reg.HistogramVec("ftgcs_jobs_run_duration_seconds",
-		"Wall-clock execution time from worker pickup to terminal state, by outcome.",
-		nil, "outcome")
-	return &managerMetrics{
-		submitted: reg.Counter("ftgcs_jobs_submitted_total",
-			"New jobs accepted onto the queue."),
-		runs: reg.Counter("ftgcs_jobs_runs_total",
-			"Job executions started (cache hits and coalesced submissions run nothing)."),
-		coalesced: reg.Counter("ftgcs_jobs_coalesced_total",
-			"Submissions coalesced onto an identical in-flight job."),
-		misses: reg.Counter("ftgcs_jobs_cache_misses_total",
-			"Result-cache lookups that enqueued fresh work or missed entirely."),
-		evicted: reg.Counter("ftgcs_jobs_cache_evictions_total",
-			"Results evicted from the in-memory LRU."),
-		diskStored: reg.Counter("ftgcs_jobs_disk_stored_total",
-			"Results durably written to the disk store."),
-		replicates: reg.Counter("ftgcs_jobs_replicates_completed_total",
-			"Individual replicate runs completed, across all jobs."),
-		storeErrors: reg.Counter("ftgcs_store_errors_total",
-			"Failed attempts to persist a result to the disk store (including recovered panics)."),
-		hitsMemory: hits.With(string(TierMemory)),
-		hitsDisk:   hits.With(string(TierDisk)),
-		done:       terminal.With(string(StateDone)),
-		failed:     terminal.With(string(StateFailed)),
-		canceled:   terminal.With(string(StateCanceled)),
-		runDone:    runDur.With(string(StateDone)),
-		runFailed:  runDur.With(string(StateFailed)),
-		runCanceld: runDur.With(string(StateCanceled)),
-		queueWait: reg.Histogram("ftgcs_jobs_queue_wait_seconds",
-			"Time jobs spend queued before a worker picks them up.", nil),
-	}
 }
 
 // NewManager starts the workers and returns the manager.
@@ -791,197 +381,6 @@ func NewManager(o Options) *Manager {
 // the one GET /metrics should scrape.
 func (m *Manager) Telemetry() *telemetry.Registry { return m.tel }
 
-// storeItem is one completed result awaiting its disk write. payload,
-// when non-nil, is the result's already-marshaled canonical body (the
-// same bytes served to clients), so persisting costs a name splice
-// instead of a full re-marshal. endSpan closes the job trace's
-// "storing" span once the bytes are durable.
-type storeItem struct {
-	id      string
-	res     *Result
-	payload *resultPayload
-	endSpan func()
-}
-
-// storer is the write-behind goroutine of the disk tier: it drains
-// pendingStore batches and writes each result's canonical bytes to the
-// store. Encoding and IO happen outside m.mu. It exits only when Close
-// has set storeClosing AND the backlog is empty, so every result that
-// finished before Close returns is durable (on a healthy store).
-//
-// The loop is hardened against a misbehaving store: each item's write is
-// retried with capped exponential backoff and any panic out of the
-// encode/Put path is recovered and counted as a failed attempt — one bad
-// object can never kill the goroutine and silently end disk persistence
-// for every job after it. When storeFailureThreshold consecutive items
-// fail every attempt, a breaker opens (Degraded reports true, healthz
-// shows "degraded", ftgcs_store_degraded is 1) and the manager runs
-// memory-only: results stay served from the LRU, nothing blocks, items
-// are dropped from the write-behind queue instead of piling up. After
-// storeCooldown the next item is written as a probe; success closes the
-// breaker, failure re-arms the cooldown.
-func (m *Manager) storer() {
-	defer m.storeWg.Done()
-	for {
-		m.storeMu.Lock()
-		for len(m.pendingStore) == 0 && !m.storeClosing {
-			m.storeCond.Wait()
-		}
-		if len(m.pendingStore) == 0 {
-			m.storeMu.Unlock()
-			return
-		}
-		batch := m.pendingStore
-		m.pendingStore = nil
-		m.storeMu.Unlock()
-
-		for _, it := range batch {
-			m.storeOne(it)
-		}
-	}
-}
-
-// storeBackoffCap bounds the storer's exponential retry backoff.
-const storeBackoffCap = time.Second
-
-// storeOne persists one result, applying the retry/breaker policy; it
-// always ends the item's "storing" trace span, stored or not.
-func (m *Manager) storeOne(it storeItem) {
-	defer func() {
-		if it.endSpan != nil {
-			it.endSpan()
-		}
-	}()
-	closing := m.storerInterrupted()
-	if m.degraded.Load() {
-		if closing || time.Since(m.storeDownSince) < m.storeCooldown {
-			return // breaker open: memory-only, drop the disk write
-		}
-		// Cooldown elapsed: fall through and use this item as the
-		// half-open probe (single attempt — see below).
-	}
-	attempts := m.storeRetries
-	if closing || m.degraded.Load() {
-		// During shutdown — or as a breaker probe — each item gets exactly
-		// one try: Close must never wait out a retry schedule, and a probe
-		// that fails should not hammer a store already known to be sick.
-		attempts = 1
-	}
-	backoff := m.storeBackoff
-	for i := 0; i < attempts; i++ {
-		if m.storeAttempt(it) == nil {
-			m.met.diskStored.Inc()
-			m.storeFails = 0
-			if m.degraded.CompareAndSwap(true, false) {
-				m.storeDownSince = time.Time{}
-			}
-			return
-		}
-		m.met.storeErrors.Inc()
-		if i+1 < attempts {
-			if !m.storerSleep(backoff) {
-				break // Close interrupted the backoff: give up on this item
-			}
-			backoff = min(backoff*2, storeBackoffCap)
-		}
-	}
-	// The item failed every attempt it was allowed.
-	m.storeFails++
-	if m.degraded.Load() || m.storeFails >= m.storeThreshold {
-		m.degraded.Store(true)
-		m.storeDownSince = time.Now()
-	}
-}
-
-// storeAttempt is one encode+write try, with panics converted to errors
-// so a poisoned payload cannot take the storer goroutine down. When the
-// item carries the result's pre-marshaled body the disk bytes are built
-// by splicing the runner's name into it — byte-identical to a full
-// json.Marshal of the result, but without re-walking the struct.
-func (m *Manager) storeAttempt(it storeItem) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("jobs: store write panicked: %v", r)
-		}
-	}()
-	var payload []byte
-	if it.payload != nil {
-		payload = it.payload.appendNamed(make([]byte, 0, it.payload.namedLen(it.res.Name)), it.res.Name)
-	} else {
-		payload, err = json.Marshal(it.res)
-		if err != nil {
-			return err
-		}
-	}
-	return m.store.Put(it.id, payload)
-}
-
-// storerSleep waits d or until Close interrupts, whichever is first;
-// false means interrupted.
-func (m *Manager) storerSleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-m.storerInterrupt:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// storerInterrupted reports whether Close has begun flushing the store.
-func (m *Manager) storerInterrupted() bool {
-	select {
-	case <-m.storerInterrupt:
-		return true
-	default:
-		return false
-	}
-}
-
-// Degraded reports whether the disk-store breaker is open: persistent
-// store failures have switched the manager to memory-only operation.
-// Jobs keep completing and results keep being served from the LRU;
-// durability resumes (and Degraded clears) once a cooldown probe write
-// succeeds. Always false without a store.
-func (m *Manager) Degraded() bool { return m.degraded.Load() }
-
-// PreparedRequest is a request whose identity has already been derived:
-// normalized, content-hashed, display-named. Preparing is the pure (and
-// comparatively expensive) prefix of Submit — canonical encoding plus
-// two SHA-256 passes — so callers that see the same request bytes
-// repeatedly (the HTTP server's submit memo) prepare once and submit
-// the prepared value on every hit.
-type PreparedRequest struct {
-	req      Request // normalized
-	id       string
-	specHash string
-	name     string
-}
-
-// ID returns the content-addressed job ID the request will run (or hit)
-// under.
-func (p PreparedRequest) ID() string { return p.id }
-
-// Name returns the request's display name (overlayed onto served
-// snapshots).
-func (p PreparedRequest) Name() string { return p.name }
-
-// PrepareRequest normalizes and content-hashes a request. The returned
-// value is immutable and safe to reuse across any number of
-// SubmitPrepared calls on any manager.
-func PrepareRequest(req Request) (PreparedRequest, error) {
-	req = req.normalized()
-	if req.Replicate > MaxReplicate {
-		return PreparedRequest{}, fmt.Errorf("jobs: replicate %d exceeds limit %d", req.Replicate, MaxReplicate)
-	}
-	id, specHash, err := req.identity()
-	if err != nil {
-		return PreparedRequest{}, err
-	}
-	return PreparedRequest{req: req, id: id, specHash: specHash, name: req.Spec.DisplayName()}, nil
-}
-
 // Submit validates, dedupes and enqueues a request. The returned status
 // reflects the submission outcome: a cache hit carries the full result
 // immediately (Cached), an identical in-flight job is joined (Coalesced),
@@ -1035,12 +434,6 @@ func (m *Manager) SubmitPrepared(p PreparedRequest) (JobStatus, error) {
 	topo, err := p.req.Spec.Resolve(m.reg)
 	if err != nil {
 		return JobStatus{}, err
-	}
-	if m.pool != nil {
-		// Interning makes equal graphs pointer-identical, which is what
-		// lets the arena pool match this job's build key against systems
-		// built for earlier jobs.
-		topo = m.pool.Intern(topo)
 	}
 
 	// Enqueue critical section. closeMu held for reading makes the
@@ -1259,15 +652,6 @@ func (m *Manager) Done(id string) (<-chan struct{}, func() JobStatus, bool) {
 	return j.done, snap, true
 }
 
-// TraceInfo is the trace endpoint's payload: the job's lifecycle spans
-// plus enough envelope to orient the reader.
-type TraceInfo struct {
-	ID       string           `json:"id"`
-	SpecHash string           `json:"specHash"`
-	State    State            `json:"state"`
-	Spans    []telemetry.Span `json:"spans"`
-}
-
 // Trace returns the lifecycle trace of an active or completed job.
 // Traces are retained alongside cached results; jobs rehydrated from
 // the disk store carry none (their execution happened in a different
@@ -1363,55 +747,6 @@ func (m *Manager) Close() {
 			return
 		}
 	}
-}
-
-// flushStore tells the storer to drain everything still pending and
-// waits for it: after Close returns, every result that completed before
-// the shutdown is durable on disk. No-op without a store.
-func (m *Manager) flushStore() {
-	if m.store == nil {
-		return
-	}
-	close(m.storerInterrupt) // cut any in-flight retry backoff short
-	m.storeMu.Lock()
-	m.storeClosing = true
-	m.storeCond.Broadcast()
-	m.storeMu.Unlock()
-	m.storeWg.Wait()
-}
-
-// snapshotLocked builds an external view; callers hold the job's shard
-// mutex (or exclusively own a not-yet-indexed job).
-func snapshotLocked(j *job, tier CacheTier) JobStatus {
-	st := JobStatus{ID: j.id, SpecHash: j.specHash, State: j.state, Cached: tier, Result: j.result, payload: j.payload}
-	if j.err != nil {
-		st.Error = j.err.Error()
-		// A canceled job is always retryable: whatever interrupted it
-		// (Cancel, budget, shutdown), the spec itself never failed.
-		st.Retryable = Retryable(j.err) || j.state == StateCanceled
-	}
-	if j.state == StateRunning && j.prog != nil {
-		p := j.prog.snapshot()
-		st.Progress = &p
-	}
-	return st
-}
-
-// WithName overlays a submitter's display name onto a snapshot served
-// from shared state (dedup or cache), copying the Result so the stored
-// payload — possibly computed under a different submitter's name — is
-// never mutated. Submit applies it itself; callers that obtain the
-// final snapshot through Wait or Get on behalf of a known submission
-// (the server's ?wait=true paths) apply it to honor that submission's
-// own name.
-func (st JobStatus) WithName(name string) JobStatus {
-	if st.Result == nil || st.Result.Name == name {
-		return st
-	}
-	r := *st.Result
-	r.Name = name
-	st.Result = &r
-	return st
 }
 
 func (m *Manager) worker() {
@@ -1658,48 +993,3 @@ func captureSeries(sys *ftgcs.System) (any, error) {
 	}
 	return out, nil
 }
-
-// lruCache is a size-bounded most-recently-used cache of completed jobs.
-type lruCache struct {
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type lruEntry struct {
-	id  string
-	job *job
-}
-
-func newLRUCache(cap int) *lruCache {
-	return &lruCache{cap: cap, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-func (c *lruCache) get(id string) (*job, bool) {
-	e, ok := c.items[id]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(e)
-	return e.Value.(*lruEntry).job, true
-}
-
-// add inserts (or refreshes) an entry and returns how many were evicted.
-func (c *lruCache) add(id string, j *job) int {
-	if e, ok := c.items[id]; ok {
-		c.ll.MoveToFront(e)
-		e.Value.(*lruEntry).job = j
-		return 0
-	}
-	c.items[id] = c.ll.PushFront(&lruEntry{id: id, job: j})
-	evicted := 0
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*lruEntry).id)
-		evicted++
-	}
-	return evicted
-}
-
-func (c *lruCache) len() int { return c.ll.Len() }

@@ -12,17 +12,26 @@ type PoolStats struct {
 	Entries   int
 }
 
-// SystemPool shares built Systems across sweeps — and across the jobs
-// that own those sweeps — keyed by Scenario.SameBuild. Where the
-// per-worker cache inside one Sweep reuses a system across consecutive
-// replicates of a single request, the pool carries that reuse across
-// request boundaries: back-to-back fresh specs sharing a topology, k/f
-// and preset pay a Reset (~17µs) instead of a Build (~720µs).
+// SystemPool is the reuse mechanism: it holds idle built Systems under
+// their scenario's build key, so a run whose key matches pays a Reset
+// (~17µs) instead of a Build (~720µs). Every Sweep runs through one — its
+// own for the call, or a shared Sweep.Pool that carries reuse across
+// sweeps and the jobs that own them.
+//
+// The key compares by value: the pinned topology contributes a structural
+// digest (independently constructed equal graphs share it; a graph
+// mutated after its system was pooled no longer matches), scalar build
+// inputs are plain fields, and the drift, delay and attack values compare
+// as interface values (dynamic type and value — a pointer-typed attack by
+// identity). A scenario with an option error, a custom backend, an
+// unpinned named topology, a mode override, mid-run hooks or an adversary
+// of non-comparable type is not poolable: Acquire misses and Release
+// drops the system.
 //
 // The pool is bounded: Release evicts the least-recently-returned entry
 // past capacity, so it can never pin more than cap built systems. All
 // methods are safe for concurrent use, and every method on a nil
-// *SystemPool is a no-op — a nil pool simply disables cross-job reuse.
+// *SystemPool is a no-op — a nil pool simply disables reuse.
 type SystemPool struct {
 	mu  sync.Mutex
 	cap int
@@ -30,17 +39,12 @@ type SystemPool struct {
 	// the hottest build key wins, and eviction drops the oldest.
 	entries                 []poolEntry
 	hits, misses, evictions uint64
-
-	// Topology intern table, under its own lock (Intern runs on submit
-	// paths that never touch the system entries).
-	topoMu sync.Mutex
-	topos  map[string]*Topology
 }
 
-// poolEntry pairs an idle system with the scenario that built (or last
-// reset) it — the build key the next Acquire checks against.
+// poolEntry is an idle system under the key of the scenario that built
+// (or last reset) it.
 type poolEntry struct {
-	sc  *Scenario
+	key buildKey
 	sys *System
 }
 
@@ -53,42 +57,59 @@ func NewSystemPool(capacity int) *SystemPool {
 	return &SystemPool{cap: capacity}
 }
 
-// Acquire removes and returns a pooled system whose build key matches
-// sc, already Reset to sc's seed and ready to run — or nil when no
-// compatible system is pooled (the caller builds). A system whose Reset
-// fails is dropped, never handed out.
+// Acquire removes and returns a pooled system whose build key equals
+// sc's, already Reset to sc's seed and ready to run — or nil when no such
+// system is pooled (the caller builds). A system whose Reset fails is
+// dropped, never handed out.
 func (p *SystemPool) Acquire(sc *Scenario) *System {
-	if p == nil || sc == nil {
+	if sc == nil {
+		return nil
+	}
+	return p.acquire(sc.buildKey(), sc.seed)
+}
+
+// acquire is Acquire on an already-derived key.
+func (p *SystemPool) acquire(key buildKey, seed int64) *System {
+	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
+	// The zero (not poolable) key equals no entry: release never stores it.
 	for i := len(p.entries) - 1; i >= 0; i-- {
-		e := p.entries[i]
-		if e.sys.CanReset() && sc.SameBuild(e.sc) {
-			p.entries = append(p.entries[:i], p.entries[i+1:]...)
-			p.mu.Unlock()
-			// Reset outside the lock: it touches the whole system arena
-			// and must not serialize unrelated Acquires.
-			if err := e.sys.Reset(sc.seed); err != nil {
-				p.note(&p.misses)
-				return nil
-			}
-			p.note(&p.hits)
-			return e.sys
+		if p.entries[i].key != key {
+			continue
 		}
+		sys := p.entries[i].sys
+		p.entries = append(p.entries[:i], p.entries[i+1:]...)
+		p.mu.Unlock()
+		// Reset outside the lock: it touches the whole system arena and
+		// must not serialize unrelated Acquires.
+		if err := sys.Reset(seed); err != nil {
+			p.note(&p.misses)
+			return nil
+		}
+		p.note(&p.hits)
+		return sys
 	}
+	p.misses++
 	p.mu.Unlock()
-	p.note(&p.misses)
 	return nil
 }
 
-// Release returns an idle system to the pool under sc's build key.
-// Non-poolable pairs are dropped silently: a nil system, a system whose
-// backend forbids Reset, or a scenario whose build key cannot match even
-// itself (hooks, custom backend, unpinned topology — see
-// Scenario.SameBuild). Past capacity the oldest entry is evicted.
+// Release returns an idle system to the pool under sc's build key. A nil
+// system, a system whose backend forbids Reset and a scenario that is not
+// poolable are dropped silently. Past capacity the oldest entry is
+// evicted.
 func (p *SystemPool) Release(sc *Scenario, sys *System) {
-	if p == nil || sc == nil || sys == nil || !sys.CanReset() || !sc.SameBuild(sc) {
+	if sc == nil {
+		return
+	}
+	p.release(sc.buildKey(), sys)
+}
+
+// release is Release on an already-derived key.
+func (p *SystemPool) release(key buildKey, sys *System) {
+	if p == nil || !key.poolable || sys == nil || !sys.CanReset() {
 		return
 	}
 	p.mu.Lock()
@@ -98,57 +119,12 @@ func (p *SystemPool) Release(sc *Scenario, sys *System) {
 			return // already pooled; never double-insert one system
 		}
 	}
-	p.entries = append(p.entries, poolEntry{sc: sc, sys: sys})
+	p.entries = append(p.entries, poolEntry{key: key, sys: sys})
 	for len(p.entries) > p.cap {
 		copy(p.entries, p.entries[1:])
 		p.entries = p.entries[:len(p.entries)-1]
 		p.evictions++
 	}
-}
-
-// maxInternedTopologies bounds the pool's topology intern table. Past
-// the cap the table is dropped wholesale — interning is an optimization,
-// so resetting it costs pool misses, never correctness.
-const maxInternedTopologies = 256
-
-// Intern returns the pool's canonical *Topology equal to t: the
-// previously interned graph with the same name and element-wise ordered
-// structure when one exists, else t itself after recording it. Equal
-// graphs produce byte-identical simulations, so swapping a pinned
-// topology for the interned pointer is invisible to results — while
-// making SameBuild's pointer-identity check succeed across
-// independently constructed scenarios, which is what lets the pool
-// match build keys across jobs and experiments. Randomized families
-// that resolved differently fail Equal and replace the entry — never a
-// false hit. Safe on a nil pool (returns t unchanged).
-func (p *SystemPool) Intern(t *Topology) *Topology {
-	if p == nil || t == nil {
-		return t
-	}
-	p.topoMu.Lock()
-	defer p.topoMu.Unlock()
-	if prev, ok := p.topos[t.Name()]; ok && prev.Equal(t) {
-		return prev
-	}
-	if p.topos == nil || len(p.topos) >= maxInternedTopologies {
-		p.topos = make(map[string]*Topology, 16)
-	}
-	p.topos[t.Name()] = t
-	return t
-}
-
-// withInternedTopology swaps sc's pinned topology for the pool's
-// canonical equal graph, so the scenario's build key can match systems
-// pooled by other sweeps. No-op for unpinned topologies: named families
-// resolve with the scenario seed and must stay per-scenario.
-func (sc *Scenario) withInternedTopology(p *SystemPool) *Scenario {
-	if sc.topology == nil || sc.err != nil {
-		return sc
-	}
-	if t := p.Intern(sc.topology); t != sc.topology {
-		return sc.With(WithTopology(t))
-	}
-	return sc
 }
 
 // Stats snapshots the pool's counters and occupancy.

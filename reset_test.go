@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"ftgcs/internal/metrics"
@@ -284,67 +285,6 @@ func (nopBackend) Summarize(warmup float64) Summary                    { return 
 func (nopBackend) Recorder() *metrics.Recorder                         { return nil }
 func (nopBackend) Diameter() int                                       { return 1 }
 
-// TestScenarioSameBuild walks the build-key comparison knob by knob.
-func TestScenarioSameBuild(t *testing.T) {
-	topo := Line(3)
-	base := func() *Scenario {
-		return NewScenario(
-			WithTopology(topo),
-			WithClusters(4, 1),
-			WithDriftName("gradient"),
-			WithDelayName("uniform"),
-			WithHorizon(2),
-			WithSeed(1),
-		)
-	}
-	if !base().SameBuild(base()) {
-		t.Fatal("identical scenarios must share a build key")
-	}
-	if !base().With(WithSeed(2)).SameBuild(base()) {
-		t.Fatal("seed must not participate in the build key")
-	}
-	if !base().With(WithObserver(func(*System) (any, error) { return nil, nil })).SameBuild(base()) {
-		t.Fatal("observers must not participate in the build key")
-	}
-
-	diff := map[string]*Scenario{
-		"topology-pointer": base().With(WithTopology(Line(3))),
-		"topology-name":    base().With(WithTopologyName("line", 3)),
-		"clusters":         base().With(WithClusters(5, 1)),
-		"fault-budget":     base().With(WithClusters(4, 0)),
-		"physical":         base().With(WithPhysical(2e-3, 1e-3, 1e-4)),
-		"constants":        base().With(WithConstants(5, 0.25)),
-		"preset":           base().With(WithPreset(PresetPaperStrict)),
-		"drift":            base().With(WithDriftName("sine")),
-		"delay":            base().With(WithDelayName("extremal")),
-		"faults":           base().With(WithFaults(FaultSpec{Node: 1, CrashAt: 1})),
-		"attack":           base().With(WithAttackName("silent", 3)),
-		"globalskew":       base().With(WithGlobalSkew(false)),
-		"sample-interval":  base().With(WithSampleInterval(0.01)),
-		"horizon":          base().With(WithHorizon(3)),
-		"horizon-rounds":   base().With(WithHorizonRounds(10)),
-		"stagger":          base().With(WithStaggerStart(0.01)),
-		"track-rounds":     base().With(WithRoundTracking()),
-		"track-clusters":   base().With(WithClusterTracking()),
-		"mode-override":    base().With(WithModeOverride(func(NodeID, ClusterID, int) (int, bool) { return 0, false })),
-		"hook":             base().With(WithMidRunHook(1, func(*System) error { return nil })),
-	}
-	for name, sc := range diff {
-		if sc.SameBuild(base()) {
-			t.Errorf("%s: differing scenario reported same build key", name)
-		}
-	}
-
-	// Per-cluster attacks from value-returning constructors are the jobs
-	// replication shape: distinct closures, equal expanded strategies.
-	pc := func() *Scenario {
-		return base().With(WithAttackPerCluster(func() Attack { return Silent() }, 2))
-	}
-	if !pc().SameBuild(pc()) {
-		t.Fatal("equal per-cluster attack plants must share a build key")
-	}
-}
-
 // TestSweepReuseDifferential runs a replicate-shaped sweep (pinned
 // topology, varying seeds, one build-breaking intruder in the middle) with
 // the reuse fast path on and off, across worker counts, and requires
@@ -365,8 +305,8 @@ func TestSweepReuseDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		scenarios = append(scenarios, base.With(WithSeed(seed), WithName("seed %d", seed)))
 	}
-	// An intruder with a different build key forces a cache rebuild
-	// mid-stream; the scenario after it must still be correct.
+	// An intruder with a different build key forces a build mid-stream;
+	// the scenario after it must still be correct.
 	scenarios[4] = base.With(WithSeed(5), WithDriftName("sine"), WithName("intruder"))
 
 	strip := func(rs []SweepResult) []SweepResult {
@@ -382,6 +322,27 @@ func TestSweepReuseDifferential(t *testing.T) {
 		rebuilt := strip(Sweep{Workers: workers, NoReuse: true}.Run(scenarios))
 		if !reflect.DeepEqual(reused, rebuilt) {
 			t.Fatalf("workers=%d: reuse and rebuild sweeps differ:\nreuse:   %+v\nrebuild: %+v", workers, reused, rebuilt)
+		}
+	}
+
+	// Pure replicates through the sweep's own pool (nil Pool): one worker
+	// builds once for all eight seeds; four workers build at most once
+	// each, and which worker's system a seed lands on changes nothing.
+	scenarios[4] = base.With(WithSeed(5), WithName("seed 5"))
+	rebuilt := strip(Sweep{Workers: 1, NoReuse: true}.Run(scenarios))
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		built := map[*System]bool{}
+		sw := Sweep{Workers: workers, OnSystemStart: func(_ int, sys *System, _ float64) {
+			mu.Lock()
+			built[sys] = true
+			mu.Unlock()
+		}}
+		if reused := strip(sw.Run(scenarios)); !reflect.DeepEqual(reused, rebuilt) {
+			t.Fatalf("workers=%d: replicate sweep differs from rebuild:\nreuse:   %+v\nrebuild: %+v", workers, reused, rebuilt)
+		}
+		if len(built) > workers {
+			t.Errorf("workers=%d: %d seeds ran on %d systems, want ≤ %d", workers, len(scenarios), len(built), workers)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ftgcs
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"sort"
@@ -26,9 +27,6 @@ import (
 //		ftgcs.WithSeed(1),
 //		ftgcs.WithHorizon(30),
 //	).Run()
-//
-// The legacy Config struct remains as a compatibility shim; New(cfg) is
-// equivalent to cfg.Scenario().Build().
 type Scenario struct {
 	name string
 
@@ -88,8 +86,8 @@ const DefaultHorizon = 30.0
 // Option configures a Scenario.
 type Option func(*Scenario)
 
-// NewScenario builds a scenario from options. Unset options take the same
-// defaults as the zero Config: spread drift, uniform delays, no faults,
+// NewScenario builds a scenario from options. Unset options default to
+// k=4, f=1, ρ=d=1e-3, U=1e-4, spread drift, uniform delays, no faults,
 // global-skew machinery enabled, Practical preset.
 func NewScenario(opts ...Option) *Scenario {
 	s := &Scenario{
@@ -368,120 +366,111 @@ func (s *Scenario) Build() (*System, error) {
 // attack plants (one fresh constructor instance at the last member of each
 // selected cluster).
 func (s *Scenario) expandFaults(topo *Topology) []FaultSpec {
-	faults := append([]FaultSpec(nil), s.faults...)
+	count := 0
 	if s.perClusterAttack != nil {
-		count := s.perClusterCount
+		count = s.perClusterCount
 		if count <= 0 || count > topo.N() {
 			count = topo.N()
 		}
-		for c := 0; c < count; c++ {
-			faults = append(faults, FaultSpec{
-				Node:     c*s.k + s.k - 1,
-				Strategy: s.perClusterAttack(),
-			})
-		}
+	}
+	faults := append(make([]FaultSpec, 0, len(s.faults)+count), s.faults...)
+	for c := 0; c < count; c++ {
+		faults = append(faults, FaultSpec{
+			Node:     c*s.k + s.k - 1,
+			Strategy: s.perClusterAttack(),
+		})
 	}
 	return faults
 }
 
-// sameModel reports whether two model values (drift, delay, attack
-// strategies — any interface-typed configuration knob) are provably the
-// same build input. It is deliberately conservative: dynamic types must
-// match exactly, and non-comparable types (or function-backed models)
-// never compare equal, so callers fall back to rebuilding rather than
-// reusing a system built from different inputs.
-func sameModel(a, b any) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	ta, tb := reflect.TypeOf(a), reflect.TypeOf(b)
-	if ta != tb || !ta.Comparable() {
-		return false
-	}
-	return a == b
+// buildKey is the one statement of "same structure": two scenarios with
+// equal keys build Systems that differ at most in seed, so a system built
+// from one can be Reset to the other's seed instead of rebuilt. Its fields
+// fall in three classes — the pinned topology's structural digest, the
+// scalar build inputs as plain fields, and the adversaries (drift, delay,
+// each expanded fault's strategy) as the interface value itself, compared
+// by dynamic type and value. The seed, name and observer are not part of
+// it.
+type buildKey struct {
+	// poolable is false only in the zero key, which stands for "not
+	// poolable" and matches nothing.
+	poolable bool
+
+	topology [sha256.Size]byte
+
+	k, f int
+
+	rho, maxDelay, uncertainty float64
+	preset                     Preset
+	c2, eps                    float64
+	hasDerived                 bool
+	derived                    Params
+
+	drift, delay any
+	// faults is the expanded fault list (explicit specs plus per-cluster
+	// plants) folded into nested faultKey values, nil when empty.
+	faults any
+
+	disableGlobalSkew            bool
+	sampleInterval, staggerStart float64
+	horizon, horizonRounds       float64
+	trackRounds, trackClusters   bool
 }
 
-// SameBuild is the conservative build key: it reports whether building s
-// would produce a System structurally identical to one built from prev —
-// same topology, geometry, derived constants, models, fault set and
-// instrumentation — differing at most in seed. When true, a system built
-// from prev can be Reset to s's seed instead of rebuilt (the Sweep reuse
-// path and the cross-job SystemPool). Conservative by design: any input
-// it cannot prove equal (named topologies, whose resolution is
-// seed-dependent; function-valued knobs like mode overrides, hooks or
-// custom backends; non-comparable model types) disqualifies reuse.
-// SameBuild(s) == true is the "poolable" predicate: a scenario whose key
-// cannot even match itself (hooks, backend, unpinned topology) never
-// enters the pool.
-func (s *Scenario) SameBuild(prev *Scenario) bool {
-	if s == nil || prev == nil || s.err != nil || prev.err != nil {
-		return false
+// faultKey is one expanded fault plus the rest of the list.
+type faultKey struct {
+	node                 NodeID
+	strategy             any
+	crashAt, offSpecRate float64
+	rest                 any
+}
+
+// comparableModel reports whether == on the model value is defined (a
+// func- or slice-backed model would panic the key comparison instead).
+func comparableModel(m any) bool {
+	return m == nil || reflect.ValueOf(m).Comparable()
+}
+
+// buildKey derives the scenario's key, or the zero key when the scenario is
+// not poolable — conservative by design, anything it cannot prove equal by
+// value disqualifies reuse: an option error; a custom backend (no reset
+// contract to rely on); an unpinned named topology (it resolves with the
+// seed); a mode override (an opaque function baked into the built
+// system); mid-run hooks (they mutate the system in ways Reset cannot
+// account for); a drift, delay or attack value of non-comparable type.
+func (s *Scenario) buildKey() buildKey {
+	if s.err != nil || s.backend != nil || s.topology == nil ||
+		s.modeOverride != nil || len(s.hooks) > 0 ||
+		!comparableModel(s.driftModel) || !comparableModel(s.delayModel) {
+		return buildKey{}
 	}
-	// Custom backends wire themselves; no reset contract to rely on.
-	if s.backend != nil || prev.backend != nil {
-		return false
+	key := buildKey{
+		poolable: true,
+		topology: s.topology.Digest(),
+		k:        s.k, f: s.f,
+		rho: s.rho, maxDelay: s.maxDelay, uncertainty: s.uncertainty,
+		preset: s.preset, c2: s.c2, eps: s.eps,
+		drift: s.driftModel, delay: s.delayModel,
+		disableGlobalSkew: s.disableGlobalSkew,
+		sampleInterval:    s.sampleInterval, staggerStart: s.staggerStart,
+		horizon: s.horizon, horizonRounds: s.horizonRounds,
+		trackRounds: s.trackRounds, trackClusters: s.trackClusters,
 	}
-	// Named topologies resolve with the seed (randomized families), so only
-	// a shared pinned *Topology is a provably seed-independent build input.
-	if s.topology == nil || s.topology != prev.topology {
-		return false
+	if s.derived != nil {
+		key.hasDerived, key.derived = true, *s.derived
 	}
-	if s.k != prev.k || s.f != prev.f {
-		return false
-	}
-	if s.rho != prev.rho || s.maxDelay != prev.maxDelay || s.uncertainty != prev.uncertainty {
-		return false
-	}
-	if s.preset != prev.preset || s.c2 != prev.c2 || s.eps != prev.eps {
-		return false
-	}
-	if (s.derived == nil) != (prev.derived == nil) {
-		return false
-	}
-	if s.derived != nil && *s.derived != *prev.derived {
-		return false
-	}
-	if !sameModel(s.driftModel, prev.driftModel) || !sameModel(s.delayModel, prev.delayModel) {
-		return false
-	}
-	// Compare the expanded fault lists (explicit specs plus per-cluster
-	// plants) so spec-compiled replicates — which carry fresh
-	// WithAttackPerCluster closures per compile but resolve to the same
-	// registered strategy values — still qualify.
-	fa, fb := s.expandFaults(s.topology), prev.expandFaults(prev.topology)
-	if len(fa) != len(fb) {
-		return false
-	}
-	for i := range fa {
-		if fa[i].Node != fb[i].Node || fa[i].CrashAt != fb[i].CrashAt || fa[i].OffSpecRate != fb[i].OffSpecRate {
-			return false
+	// The expanded list, not the perClusterAttack closure: spec-compiled
+	// replicates carry a fresh closure per compile that resolves to the
+	// same registered strategy values.
+	faults := s.expandFaults(s.topology)
+	for i := len(faults) - 1; i >= 0; i-- {
+		f := faults[i]
+		if !comparableModel(f.Strategy) {
+			return buildKey{}
 		}
-		if !sameModel(fa[i].Strategy, fb[i].Strategy) {
-			return false
-		}
+		key.faults = faultKey{f.Node, f.Strategy, f.CrashAt, f.OffSpecRate, key.faults}
 	}
-	if s.disableGlobalSkew != prev.disableGlobalSkew || s.sampleInterval != prev.sampleInterval {
-		return false
-	}
-	if s.horizon != prev.horizon || s.horizonRounds != prev.horizonRounds {
-		return false
-	}
-	if s.staggerStart != prev.staggerStart {
-		return false
-	}
-	if s.trackRounds != prev.trackRounds || s.trackClusters != prev.trackClusters {
-		return false
-	}
-	// Mode overrides are opaque functions baked into the built system.
-	if s.modeOverride != nil || prev.modeOverride != nil {
-		return false
-	}
-	// Mid-run hooks mutate the system in ways the reset contract cannot
-	// account for; observers merely read and are excluded from the key.
-	if len(s.hooks) > 0 || len(prev.hooks) > 0 {
-		return false
-	}
-	return true
+	return key
 }
 
 // Horizon returns the simulated duration in seconds for the given derived
@@ -576,23 +565,4 @@ func deriveParams(preset Preset, rho, delay, uncertainty, c2, eps float64) (Para
 		pcfg.Eps = eps
 	}
 	return params.Derive(pcfg)
-}
-
-// Scenario converts the legacy Config into the options-based builder, so
-// both configuration styles share one build path.
-func (c Config) Scenario(opts ...Option) *Scenario {
-	base := []Option{
-		WithTopology(c.Topology),
-		WithClusters(c.ClusterSize, c.FaultBudget),
-		WithPhysical(c.Rho, c.Delay, c.Uncertainty),
-		WithPreset(c.Preset),
-		WithConstants(c.C2, c.Eps),
-		WithSeed(c.Seed),
-		WithDrift(c.Drift),
-		WithDelay(c.DelayModel),
-		WithFaults(c.Faults...),
-		WithGlobalSkew(!c.DisableGlobalSkew),
-		WithSampleInterval(c.SampleInterval),
-	}
-	return NewScenario(append(base, opts...)...)
 }

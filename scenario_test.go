@@ -5,52 +5,8 @@ import (
 	"testing"
 )
 
-// TestScenarioEquivalentToConfig checks both configuration styles build
-// identical systems: same derived constants, same simulation trajectory.
-func TestScenarioEquivalentToConfig(t *testing.T) {
-	cfg := Config{
-		Topology:    Line(3),
-		ClusterSize: 4,
-		FaultBudget: 1,
-		Rho:         1e-3,
-		Delay:       1e-3,
-		Uncertainty: 1e-4,
-		Seed:        9,
-		Drift:       DriftSpec{Kind: DriftGradient},
-		Faults:      []FaultSpec{{Node: 5, Strategy: Silent()}},
-	}
-	legacy, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := NewScenario(
-		WithTopology(Line(3)),
-		WithClusters(4, 1),
-		WithPhysical(1e-3, 1e-3, 1e-4),
-		WithSeed(9),
-		WithDrift(GradientDrift{}),
-		WithAttackName("silent", 5),
-	).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Params() != modern.Params() {
-		t.Fatalf("derived params differ:\n%+v\n%+v", legacy.Params(), modern.Params())
-	}
-	horizon := 40 * legacy.Params().T
-	if err := legacy.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
-	if err := modern.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
-	if lr, mr := legacy.Report(), modern.Report(); lr != mr {
-		t.Errorf("reports differ:\nlegacy %+v\nmodern %+v", lr, mr)
-	}
-}
-
 // TestScenarioZeroPresetMeansPractical pins the satellite fix: the zero
-// Preset resolves to Practical in one place, for both New and
+// Preset resolves to Practical in one place, for both Build and
 // DeriveParams.
 func TestScenarioZeroPresetMeansPractical(t *testing.T) {
 	pZero, err := DeriveParams(0, 1e-4, 1e-3, 1e-4)

@@ -38,19 +38,15 @@ type Sweep struct {
 	Workers int
 	// BaseSeed seeds scenarios that did not set WithSeed.
 	BaseSeed int64
-	// NoReuse disables the per-worker system-reuse fast path: every
-	// scenario gets a freshly built System even when consecutive scenarios
-	// on a worker share a build key. Reuse is semantically invisible —
-	// Reset guarantees byte-identical results — so this exists as an
-	// escape hatch and for differential testing of that guarantee.
-	// NoReuse also disables Pool.
+	// NoReuse builds a fresh System for every scenario and never touches a
+	// pool. Reuse is semantically invisible — Reset guarantees
+	// byte-identical results — so this is the reference path the
+	// differential tests and benchmarks compare reuse against.
 	NoReuse bool
-	// Pool, when non-nil, shares built Systems beyond this sweep: workers
-	// whose cached system misses the build key consult the pool before
-	// building, and hand their systems back (on replacement and at worker
-	// exit) for later sweeps to reuse. Semantically invisible for the
-	// same reason per-worker reuse is — Reset guarantees byte-identical
-	// results.
+	// Pool, when non-nil, replaces the sweep's own per-call pool, sharing
+	// built Systems with other sweeps: each scenario acquires a system
+	// whose build key matches (building on a miss) and releases it when
+	// done.
 	Pool *SystemPool
 
 	// OnSystemStart, when set, is called from a worker goroutine right
@@ -96,28 +92,22 @@ func (sw Sweep) run(ctx context.Context, scenarios []*Scenario) []SweepResult {
 	if ctx != nil {
 		done = ctx.Done() // nil channel (blocks forever) when ctx is nil
 	}
+	pool := sw.callPool(workers)
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker keeps the last system it built and reuses it via
-			// Reset when the next scenario shares the build key — replicate
-			// batches pay one build instead of one per seed.
-			var cache workerCache
 			for i := range jobs {
-				res := sw.runOne(ctx, scenarios[i], i, &cache)
+				res, key, sys := sw.runOne(ctx, scenarios[i], i, pool)
 				if sw.OnScenarioDone != nil {
 					sw.OnScenarioDone(i, res)
 				}
 				out[i] = res
-			}
-			// The worker's last system outlives this sweep through the
-			// pool (Release drops non-poolable pairs; the panic path in
-			// runOne cleared the cache already).
-			if !sw.NoReuse {
-				sw.Pool.Release(cache.sc, cache.sys)
+				// Only now is the system idle: OnScenarioDone may still
+				// read its progress.
+				pool.release(key, sys)
 			}
 		}()
 	}
@@ -145,60 +135,30 @@ func (sw Sweep) run(ctx context.Context, scenarios []*Scenario) []SweepResult {
 	return out
 }
 
-// workerCache holds one worker's reusable system alongside the scenario
-// that built (or last reset) it — the build key for the next reuse check.
-type workerCache struct {
-	sc  *Scenario
-	sys *System
-}
-
-// acquireSystem returns a system ready to run sc: the worker's cached
-// system rewound to sc's seed when the build keys match, a pooled system
-// from Sweep.Pool next, a fresh build last. The cache is updated to the
-// returned system (and dropped entirely when a Reset fails, leaving the
-// old system in an undefined state); a cached system displaced by a
-// different build key is released to the pool rather than dropped.
-func (sw Sweep) acquireSystem(sc *Scenario, cache *workerCache) (*System, error) {
-	if cache != nil && !sw.NoReuse && cache.sys != nil &&
-		cache.sys.CanReset() && sc.SameBuild(cache.sc) {
-		if err := cache.sys.Reset(sc.seed); err == nil {
-			cache.sc = sc
-			return cache.sys, nil
-		}
-		cache.sc, cache.sys = nil, nil
+// callPool returns the pool one call's scenarios run through: none under
+// NoReuse, Sweep.Pool when set, else the call's own. A function so that run
+// assigns the result once and its worker closures capture it by value.
+func (sw Sweep) callPool(workers int) *SystemPool {
+	switch {
+	case sw.NoReuse:
+		return nil
+	case sw.Pool != nil:
+		return sw.Pool
 	}
-	if cache != nil && !sw.NoReuse && sw.Pool != nil {
-		if sys := sw.Pool.Acquire(sc); sys != nil {
-			sw.Pool.Release(cache.sc, cache.sys)
-			cache.sc, cache.sys = sc, sys
-			return sys, nil
-		}
-	}
-	sys, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
-	if cache != nil {
-		if !sw.NoReuse {
-			sw.Pool.Release(cache.sc, cache.sys)
-		}
-		cache.sc, cache.sys = sc, sys
-	}
-	return sys, nil
+	return NewSystemPool(workers)
 }
 
 // runOne executes a single scenario, converting panics into errors so one
-// bad scenario cannot take down the whole sweep.
-func (sw Sweep) runOne(ctx context.Context, sc *Scenario, index int, cache *workerCache) (res SweepResult) {
+// bad scenario cannot take down the whole sweep. It returns the system it
+// ran on and the scenario's build key for release to the pool — a nil
+// system when none was built or after a panic, which leaves it in an
+// unknown state that must never be reused.
+func (sw Sweep) runOne(ctx context.Context, sc *Scenario, index int, pool *SystemPool) (res SweepResult, key buildKey, sys *System) {
 	res = SweepResult{Index: index, Name: sc.Name()}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("ftgcs: scenario %d (%s) panicked: %v", index, sc.Name(), r)
-			// A panic mid-run leaves the system in an unknown state; never
-			// offer it for reuse.
-			if cache != nil {
-				cache.sc, cache.sys = nil, nil
-			}
+			sys = nil
 		}
 	}()
 	// A scenario dispatched in the same instant the sweep was canceled
@@ -206,22 +166,22 @@ func (sw Sweep) runOne(ctx context.Context, sc *Scenario, index int, cache *work
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			res.Err = err
-			return res
+			return
 		}
 	}
 	if _, ok := sc.Seeded(); !ok {
 		sc = sc.With(WithSeed(sw.BaseSeed + int64(index)))
 	}
-	if !sw.NoReuse && sw.Pool != nil {
-		// Pinned topologies intern through the pool so this scenario's
-		// build key is pointer-comparable with systems pooled by other
-		// sweeps (equal graphs simulate byte-identically).
-		sc = sc.withInternedTopology(sw.Pool)
+	if pool != nil {
+		key = sc.buildKey()
+		sys = pool.acquire(key, sc.seed)
 	}
-	sys, err := sw.acquireSystem(sc, cache)
-	if err != nil {
-		res.Err = err
-		return res
+	if sys == nil {
+		var err error
+		if sys, err = sc.Build(); err != nil {
+			res.Err = err
+			return
+		}
 	}
 	if sw.OnSystemStart != nil {
 		sw.OnSystemStart(index, sys, sc.Horizon(sys.Params()))
@@ -229,12 +189,12 @@ func (sw Sweep) runOne(ctx context.Context, sc *Scenario, index int, cache *work
 	rep, value, err := sc.executeOn(ctx, sys)
 	if err != nil {
 		res.Err = err
-		return res
+		return
 	}
 	res.Report = rep
 	res.Summary = sys.Summary(rep.Warmup)
 	res.Value = value
-	return res
+	return
 }
 
 // RunSweep executes the scenarios with default settings (GOMAXPROCS

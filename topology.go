@@ -41,36 +41,26 @@ func Random(n, extra int, seed int64) *Topology {
 	return graph.RandomConnected(n, extra, sim.NewRNG(seed, 0))
 }
 
-// Byzantine strategy constructors for Config.Faults.
+// Byzantine attack constructors (for WithAttack, WithAttackPerCluster and
+// FaultSpec.Strategy).
 
 // Silent returns the crash-at-zero adversary.
-func Silent() FaultStrategy { return byzantine.Silent{} }
+func Silent() Attack { return byzantine.Silent{} }
 
 // Spam returns the random-pulse flooder.
-func Spam() FaultStrategy { return byzantine.Spam{} }
+func Spam() Attack { return byzantine.Spam{} }
 
 // TwoFaced returns the schedule-anchored equivocator (early pulses to half
 // the neighbors, late to the rest).
-func TwoFaced() FaultStrategy { return byzantine.TwoFaced{} }
+func TwoFaced() Attack { return byzantine.TwoFaced{} }
 
 // AdaptiveTwoFaced returns the victim-tracking equivocator whose lies stay
 // plausible forever.
-func AdaptiveTwoFaced() FaultStrategy { return byzantine.AdaptiveTwoFaced{} }
+func AdaptiveTwoFaced() Attack { return byzantine.AdaptiveTwoFaced{} }
 
 // CadenceTwoFaced returns the off-nominal-cadence equivocator (the paper's
 // "sub-nominal clock speed" example) — the strategy that breaks plain GCS.
-func CadenceTwoFaced() FaultStrategy { return byzantine.CadenceTwoFaced{} }
+func CadenceTwoFaced() Attack { return byzantine.CadenceTwoFaced{} }
 
 // Oscillate returns the alternating early/late pulser.
-func Oscillate() FaultStrategy { return byzantine.Oscillate{} }
-
-// StrategyByName resolves a CLI-friendly strategy name ("silent", "spam",
-// "two-faced", "adaptive", "cadence", "oscillate", "lie-early", "lie-late",
-// "max-spam"). It delegates to the default registry, so attacks registered
-// there (including user extensions) resolve here too.
-func StrategyByName(name string) (FaultStrategy, error) {
-	return AttackByName(name)
-}
-
-// FaultStrategy is a Byzantine behavior (see the byzantine constructors).
-type FaultStrategy = byzantine.Strategy
+func Oscillate() Attack { return byzantine.Oscillate{} }
