@@ -17,12 +17,12 @@ import (
 // the same Sweep machinery, job manager and result pipeline as
 // first-class scenarios instead of hand-rolled sequential loops.
 type Backend interface {
-	// Run advances simulated time to the given horizon (seconds).
-	Run(until float64) error
-	// RunContext is Run with cooperative cancellation: a done context
+	// RunContext advances simulated time to the given horizon (seconds).
+	// Canceling ctx is the only way to stop it early: a done context
 	// aborts the run with ctx.Err() after the in-flight event, leaving
 	// simulated time where the run stopped. The executed event prefix is
-	// byte-identical to an uncanceled run.
+	// byte-identical to an uncanceled run. ctx is never nil — an
+	// uncancelable run receives context.Background().
 	RunContext(ctx context.Context, until float64) error
 	// Now returns the current simulated time.
 	Now() float64
@@ -67,7 +67,7 @@ var ErrNotResettable = errors.New("ftgcs: backend does not support reset")
 type Progress = sim.Progress
 
 // coreBackend adapts the standard core system to the Backend interface
-// (Run, RunContext, Progress, Summarize and Recorder are promoted from
+// (RunContext, Progress, Summarize and Recorder are promoted from
 // core.System).
 type coreBackend struct {
 	*core.System

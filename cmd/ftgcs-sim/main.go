@@ -112,23 +112,30 @@ func run(ctx context.Context, args []string) error {
 		return runSeedSweep(ctx, sc, *seed, *seeds, *workers)
 	}
 
+	return runScenario(ctx, sc, func(sys *ftgcs.System) {
+		fmt.Printf("topology %s: %d clusters × k=%d (%d nodes), diameter %d\n",
+			*topo, sys.Clusters(), *k, sys.Nodes(), sys.Diameter())
+		fmt.Printf("adversaries: drift=%s delay=%s attack=%s\n", *drift, *delayModel, attackName(*attack))
+	}, *csvPath, *jsonPath)
+}
+
+// runScenario is the one single-run body behind both entry points (flags
+// and -spec): build, print the entry point's header and the derived
+// parameters, run to the horizon, report, export the series.
+func runScenario(ctx context.Context, sc *ftgcs.Scenario, header func(sys *ftgcs.System), csvPath, jsonPath string) error {
 	sys, err := sc.Build()
 	if err != nil {
 		return err
 	}
-
+	header(sys)
 	p := sys.Params()
-	fmt.Printf("topology %s: %d clusters × k=%d (%d nodes), diameter %d\n",
-		*topo, sys.Clusters(), *k, sys.Nodes(), sys.Diameter())
-	fmt.Printf("adversaries: drift=%s delay=%s attack=%s\n", *drift, *delayModel, attackName(*attack))
 	fmt.Printf("parameters: T=%.3gs τ=(%.3g, %.3g, %.3g) E=%.3gs κ=%.3gs µ=%.3g ϕ=%.3g\n\n",
 		p.T, p.Tau1, p.Tau2, p.Tau3, p.EG, p.Kappa, p.Mu, p.Phi)
-
-	if err := sys.RunContext(ctx, *duration); err != nil {
+	if err := sys.RunContext(ctx, sc.Horizon(p)); err != nil {
 		return describeInterrupt(err, sys)
 	}
 	fmt.Println(sys.Report())
-	return exportSeries(sys, *csvPath, *jsonPath)
+	return exportSeries(sys, csvPath, jsonPath)
 }
 
 // describeInterrupt wraps a cancellation with how far the run got; other
@@ -160,21 +167,11 @@ func runSpecFile(ctx context.Context, path, csvPath, jsonPath string) error {
 	if err != nil {
 		return err
 	}
-	sys, err := sc.Build()
-	if err != nil {
-		return err
-	}
-	p := sys.Params()
-	fmt.Printf("spec %s\ncontent hash %s\n", path, hash)
-	fmt.Printf("%s: %d clusters (%d nodes), diameter %d\n",
-		sc.Name(), sys.Clusters(), sys.Nodes(), sys.Diameter())
-	fmt.Printf("parameters: T=%.3gs τ=(%.3g, %.3g, %.3g) E=%.3gs κ=%.3gs µ=%.3g ϕ=%.3g\n\n",
-		p.T, p.Tau1, p.Tau2, p.Tau3, p.EG, p.Kappa, p.Mu, p.Phi)
-	if err := sys.RunContext(ctx, sc.Horizon(p)); err != nil {
-		return describeInterrupt(err, sys)
-	}
-	fmt.Println(sys.Report())
-	return exportSeries(sys, csvPath, jsonPath)
+	return runScenario(ctx, sc, func(sys *ftgcs.System) {
+		fmt.Printf("spec %s\ncontent hash %s\n", path, hash)
+		fmt.Printf("%s: %d clusters (%d nodes), diameter %d\n",
+			sc.Name(), sys.Clusters(), sys.Nodes(), sys.Diameter())
+	}, csvPath, jsonPath)
 }
 
 // exportSeries writes the recorded skew series wherever -csv/-json asked.

@@ -92,11 +92,13 @@ type System struct {
 // Params returns the derived algorithm constants.
 func (s *System) Params() Params { return s.p }
 
-// Run advances simulated time to the given horizon (seconds). It may be
-// called repeatedly with increasing horizons.
-func (s *System) Run(until float64) error { return s.b.Run(until) }
+// Run is RunContext without cancellation.
+func (s *System) Run(until float64) error {
+	return s.RunContext(context.Background(), until)
+}
 
-// RunContext is Run with cooperative cancellation: a done context aborts
+// RunContext advances simulated time to the given horizon (seconds). It
+// may be called repeatedly with increasing horizons. A done context aborts
 // the run with ctx.Err() after the in-flight simulation event, leaving
 // simulated time where the run stopped. The event prefix executed before
 // cancellation is identical to an uncanceled run's, so resuming with a

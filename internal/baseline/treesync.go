@@ -322,18 +322,9 @@ func (s *System) Start() error {
 	return nil
 }
 
-// Run advances the simulation.
-func (s *System) Run(until float64) error {
-	if !s.started {
-		if err := s.Start(); err != nil {
-			return err
-		}
-	}
-	return s.eng.Run(until)
-}
-
-// RunContext is Run with cooperative cancellation (see sim.RunContext):
-// a done context aborts the run with ctx.Err() after the in-flight event.
+// RunContext starts the system (if needed) and advances the simulation
+// (see sim.RunContext): a done context aborts the run with ctx.Err() after
+// the in-flight event.
 func (s *System) RunContext(ctx context.Context, until float64) error {
 	if !s.started {
 		if err := s.Start(); err != nil {

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestTreeSyncTracksRoot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	if err := sys.Run(40 * p.T); err != nil {
+	if err := sys.RunContext(context.Background(), 40*p.T); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	// Slaves must be tracking: global skew bounded by ~depth·(stuff) ≪ T.
@@ -85,7 +86,7 @@ func TestTreeSyncRevealCompressesSkew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Run(30 * p.T); err != nil {
+		if err := sys.RunContext(context.Background(), 30*p.T); err != nil {
 			t.Fatal(err)
 		}
 		return sys.MaxLocalClusterSkew(10 * p.T)
@@ -99,7 +100,7 @@ func TestTreeSyncRevealCompressesSkew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Run(30 * p.T); err != nil {
+		if err := sys.RunContext(context.Background(), 30*p.T); err != nil {
 			t.Fatal(err)
 		}
 		return sys.MaxLocalClusterSkew(10 * p.T)
@@ -126,7 +127,7 @@ func TestTreeSyncDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Run(20 * p.T); err != nil {
+		if err := sys.RunContext(context.Background(), 20*p.T); err != nil {
 			t.Fatal(err)
 		}
 		return sys.ClusterClock(2)
@@ -156,7 +157,7 @@ func TestTreeSyncLogicalAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(10 * p.T); err != nil {
+	if err := sys.RunContext(context.Background(), 10*p.T); err != nil {
 		t.Fatal(err)
 	}
 	if v := sys.Logical(0); v <= 0 || math.IsNaN(v) {

@@ -537,21 +537,16 @@ func (s *System) Reset(seed int64) error {
 	return nil
 }
 
-// Run starts the system (if needed) and advances simulated time to the
-// horizon.
+// Run is RunContext without cancellation.
 func (s *System) Run(until float64) error {
-	if !s.started {
-		if err := s.Start(); err != nil {
-			return err
-		}
-	}
-	return s.eng.Run(until)
+	return s.RunContext(context.Background(), until)
 }
 
-// RunContext is Run with cooperative cancellation: the engine polls ctx
-// between events and a done context aborts the run with ctx.Err(),
-// leaving simulated time where the run stopped. The event prefix executed
-// before cancellation is identical to an uncanceled run's.
+// RunContext starts the system (if needed) and advances simulated time to
+// the horizon. The engine polls ctx between events and a done context
+// aborts the run with ctx.Err(), leaving simulated time where the run
+// stopped. The event prefix executed before cancellation is identical to
+// an uncanceled run's.
 func (s *System) RunContext(ctx context.Context, until float64) error {
 	if !s.started {
 		if err := s.Start(); err != nil {

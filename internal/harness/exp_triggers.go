@@ -103,7 +103,7 @@ func runE10(rc RunConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Run(horizon); err != nil {
+	if err := sys.RunContext(rc.ctx(), horizon); err != nil {
 		return nil, err
 	}
 

@@ -34,11 +34,21 @@ type RunConfig struct {
 	// Byte-invisible for the same reason NoReuse is — the pooled golden
 	// test proves it across every experiment.
 	Pool *ftgcs.SystemPool
-	// Ctx, when non-nil, cancels in-flight sweeps (the CLI wires SIGINT
-	// here): the running experiment returns the context's error and
+	// Ctx, when non-nil, cancels in-flight simulations (the CLI wires
+	// SIGINT here): the running experiment returns the context's error and
 	// RunAll stops before starting the next one. Completed experiments'
 	// tables are unaffected — cancellation truncates, never perturbs.
 	Ctx context.Context
+}
+
+// ctx is the context every run of this config goes through: Ctx, or
+// Background when the caller set none. The one place a nil context is
+// tolerated; nothing below the harness ever sees one.
+func (rc RunConfig) ctx() context.Context {
+	if rc.Ctx != nil {
+		return rc.Ctx
+	}
+	return context.Background()
 }
 
 func (rc RunConfig) progressf(format string, args ...any) {
@@ -127,10 +137,8 @@ func ByID(id string) (Experiment, error) {
 // only the experiment it interrupted.
 func RunAll(rc RunConfig, w io.Writer) error {
 	for _, e := range All() {
-		if rc.Ctx != nil {
-			if err := rc.Ctx.Err(); err != nil {
-				return err
-			}
+		if err := rc.ctx().Err(); err != nil {
+			return err
 		}
 		rc.progressf("running %s: %s", e.ID, e.Title)
 		tbl, err := e.Run(rc)

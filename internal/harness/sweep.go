@@ -14,12 +14,7 @@ import (
 // count.
 func (rc RunConfig) runSweep(scenarios []*ftgcs.Scenario) ([]ftgcs.SweepResult, error) {
 	sw := ftgcs.Sweep{Workers: rc.Workers, BaseSeed: rc.Seed, NoReuse: rc.NoReuse, Pool: rc.Pool}
-	var results []ftgcs.SweepResult
-	if rc.Ctx != nil {
-		results = sw.RunContext(rc.Ctx, scenarios)
-	} else {
-		results = sw.Run(scenarios)
-	}
+	results := sw.RunContext(rc.ctx(), scenarios)
 	for _, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("scenario %d (%s): %w", r.Index, r.Name, r.Err)

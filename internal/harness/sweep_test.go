@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 )
 
@@ -37,5 +39,26 @@ func TestParallelTablesMatchSequential(t *testing.T) {
 					sequential, parallel)
 			}
 		})
+	}
+}
+
+// TestExperimentsHonorCancellation pins RunConfig.Ctx's contract: under a
+// pre-canceled context every experiment and ablation that simulates — all
+// but the static E5/E7/E11/E14, which only evaluate formulas — returns an
+// error wrapping context.Canceled instead of running to completion.
+func TestExperimentsHonorCancellation(t *testing.T) {
+	static := map[string]bool{"E5": true, "E7": true, "E11": true, "E14": true}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, exp := range append(All(), Ablations()...) {
+		tbl, err := exp.Run(RunConfig{Quick: true, Seed: 1, Ctx: ctx})
+		switch {
+		case static[exp.ID]:
+			if err != nil || tbl == nil {
+				t.Errorf("%s (static): table %v, err %v", exp.ID, tbl != nil, err)
+			}
+		case !errors.Is(err, context.Canceled):
+			t.Errorf("%s: err = %v, want context.Canceled", exp.ID, err)
+		}
 	}
 }

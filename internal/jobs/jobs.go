@@ -103,11 +103,13 @@ type Options struct {
 	// SweepWorkers bounds each job's internal ftgcs.Sweep pool
 	// (≤0: GOMAXPROCS). Only replicated jobs fan out.
 	SweepWorkers int
-	// NoReuse disables system reuse — the manager's cross-job arena pool
-	// and with it every sweep's — rebuilding the system for every run
-	// instead of resetting one in place. Results are identical either way (the reset contract); this
-	// is an escape hatch and the rebuild arm of the reuse benchmarks and
-	// differential golden tests.
+	// NoReuse disables system reuse: no cross-job arena pool, and every
+	// sweep rebuilds the system for each run instead of resetting one in
+	// place. Results are identical either way (the reset contract). It
+	// stays because it selects the reference arm that
+	// TestReplicatedJobReuseDifferential, TestPoolDifferentialAcrossJobs
+	// and the recorded ReplicatedJob/rebuild and SubmitFreshPooled/rebuild
+	// benchmark rows compare reuse against.
 	NoReuse bool
 	// RunLimit is a per-job wall-clock budget: a job still executing
 	// after this long is canceled (state canceled, never cached). Zero

@@ -3,7 +3,6 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
-	"unicode/utf8"
 )
 
 // This file is the zero-copy serving path. A completed job's Result is
@@ -127,61 +126,20 @@ func (st JobStatus) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal, replicating
-// encoding/json's encoder exactly (HTML-escaping on, invalid UTF-8 →
-// U+FFFD, U+2028/U+2029 escaped) so hand-assembled envelopes stay
-// byte-identical to marshaled ones. Parity with json.Marshal is
-// enforced across the full byte range by TestAppendJSONStringParity.
+// appendJSONString appends s as a JSON string literal, byte-identical to
+// json.Marshal(s). A string made only of printable ASCII the standard
+// encoder emits verbatim — every ID, hash, state, tier and default display
+// name — is quoted in place; anything else goes through json.Marshal, so
+// parity holds by construction (and is still swept across the full byte
+// range by TestAppendJSONStringParity).
 func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				// Control chars and the HTML trio < > & as \u00xx.
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
 	}
-	dst = append(dst, s[start:]...)
+	dst = append(dst, '"')
+	dst = append(dst, s...)
 	return append(dst, '"')
 }

@@ -21,31 +21,6 @@ func selfFeeding(e *Engine, dt float64) *int {
 	return fired
 }
 
-// TestStopFromAnotherGoroutine is the -race regression for the Stop
-// contract: a plain-bool stop flag made this a data race; the atomic flag
-// makes concurrent Stop safe and the run terminate promptly.
-func TestStopFromAnotherGoroutine(t *testing.T) {
-	e := NewEngine()
-	selfFeeding(e, 1e-6)
-	done := make(chan error, 1)
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		done <- e.Run(1e18) // effectively unbounded without Stop
-	}()
-	<-started
-	time.Sleep(2 * time.Millisecond)
-	e.Stop()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Run returned %v, want nil after Stop", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after cross-goroutine Stop")
-	}
-}
-
 // TestRunContextCancelFromAnotherGoroutine cancels a running engine via
 // context and checks the run aborts with ctx.Err(), leaving time where
 // the run stopped rather than at the horizon.

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // tickData is a self-rescheduling DataFunc: it re-arms itself one second
@@ -236,64 +238,76 @@ func TestPoolStressAgainstModel(t *testing.T) {
 	}
 }
 
-// TestStepHonorsLimitAndStop covers the former Step bypasses: Run's event
-// limit and Stop must gate single-stepping too.
-func TestStepHonorsLimitAndStop(t *testing.T) {
+// TestRunHonorsEventLimit: Run executes exactly the configured number of
+// events, fails with ErrEventLimit on the next one (which is consumed, not
+// fired), and resumes once the limit is lifted.
+func TestRunHonorsEventLimit(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	for i := 0; i < 5; i++ {
 		e.MustSchedule(float64(i+1), "s", func(*Engine) { fired++ })
 	}
 	e.SetEventLimit(3)
-	for e.Step() {
+	if err := e.Run(100); !errors.Is(err, ErrEventLimit) {
+		t.Fatalf("Run = %v, want ErrEventLimit", err)
 	}
 	if fired != 3 {
-		t.Errorf("Step executed %d events past a limit of 3", fired)
+		t.Errorf("Run executed %d events under a limit of 3", fired)
 	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d, want 1", e.Pending())
 	}
 
 	e.SetEventLimit(0)
-	e.Stop()
-	if e.Step() {
-		t.Error("Step ran an event after Stop")
-	}
-	if err := e.Run(100); err != nil { // Run resets the stop flag
+	if err := e.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 5 {
-		t.Errorf("fired = %d, want 5 after Run", fired)
+	if fired != 4 {
+		t.Errorf("fired = %d, want 4 after the limit is lifted", fired)
 	}
 }
 
 // TestRunZeroAllocSteadyState pins the tentpole invariant: once the pool is
-// warm, the schedule→fire cycle performs zero heap allocations per event.
+// warm, the schedule→fire cycle performs zero heap allocations per event —
+// for data-scheduled events and for closures, which ride in Data.Ctx.
 func TestRunZeroAllocSteadyState(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	e := NewEngine()
 	count := 0
-	const horizon = 1 << 20
-	for i := 0; i < 8; i++ {
-		e.MustScheduleData(float64(i)/8, "tick", tickData, Data{Ctx: &count, F0: horizon})
+	var tick func(*Engine)
+	tick = func(e *Engine) {
+		count++
+		e.MustSchedule(e.Now()+1, "tick", tick)
 	}
-	if err := e.Run(64); err != nil { // warm the slab, heap and free list
-		t.Fatal(err)
+	arms := map[string]func(e *Engine, at Time){
+		"data": func(e *Engine, at Time) {
+			e.MustScheduleData(at, "tick", tickData, Data{Ctx: &count, F0: 1 << 20})
+		},
+		"closure": func(e *Engine, at Time) { e.MustSchedule(at, "tick", tick) },
 	}
-	next := 65.0
-	avg := testing.AllocsPerRun(100, func() {
-		if err := e.Run(next); err != nil {
+	for name, arm := range arms {
+		e := NewEngine()
+		count = 0
+		for i := 0; i < 8; i++ {
+			arm(e, float64(i)/8)
+		}
+		if err := e.Run(64); err != nil { // warm the slab, heap and free list
 			t.Fatal(err)
 		}
-		next++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state Run allocates %.2f times per simulated second (8 events), want 0", avg)
-	}
-	if count == 0 {
-		t.Fatal("ticker never ran")
+		next := 65.0
+		avg := testing.AllocsPerRun(100, func() {
+			if err := e.Run(next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if avg != 0 {
+			t.Errorf("%s: steady-state Run allocates %.2f times per simulated second (8 events), want 0", name, avg)
+		}
+		if count == 0 {
+			t.Fatalf("%s: ticker never ran", name)
+		}
 	}
 }
 
@@ -312,5 +326,14 @@ func TestCancelRescheduleZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("cancel+reschedule allocates %.2f per cycle, want 0", avg)
+	}
+}
+
+// TestEngineFillsCacheLines pins the Engine's size to a whole number of
+// cache lines: two engines run by different sweep workers must never share
+// one (see the padding field).
+func TestEngineFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Engine{}); size%64 != 0 {
+		t.Errorf("Engine is %d bytes, want a multiple of 64", size)
 	}
 }

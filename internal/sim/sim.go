@@ -46,12 +46,10 @@ type Data struct {
 // allocation-free.
 type DataFunc func(e *Engine, d Data)
 
-// event is one pooled slab entry. Exactly one of fn/dfn is non-nil while
-// the slot is live.
+// event is one pooled slab entry; dfn is non-nil while the slot is live.
 type event struct {
 	at    Time
 	seq   uint64 // insertion order, breaks time ties deterministically
-	fn    func(*Engine)
 	dfn   DataFunc
 	data  Data
 	label string
@@ -71,10 +69,9 @@ type Handle struct {
 // usable; construct with NewEngine.
 //
 // Cross-goroutine contract: an Engine is single-goroutine for everything
-// except Stop and Progress, which may be called from any goroutine while a
-// Run/RunContext is in flight. Stop is sticky for the current run only
-// (Run/RunContext reset it on entry); Progress is a lock-free snapshot fed
-// by atomic mirrors the event loop maintains.
+// except Progress, a lock-free snapshot fed by atomic mirrors the event loop
+// maintains, which may be taken from any goroutine while a run is in flight.
+// The only way to stop a run from outside is to cancel its context.
 type Engine struct {
 	now Time
 	// events is the pooled slab; heap holds slab indices ordered as a
@@ -83,8 +80,7 @@ type Engine struct {
 	heap   []int32
 	free   []int32
 
-	seq     uint64
-	stopped atomic.Bool
+	seq uint64
 
 	// processed counts events executed so far. Atomic so Progress can read
 	// it from another goroutine while the loop runs.
@@ -94,6 +90,12 @@ type Engine struct {
 	nowBits atomic.Uint64
 	// maxEvents aborts runaway simulations; 0 means no limit.
 	maxEvents uint64
+
+	// Pad to two full cache lines (the 128-byte size class): the loop
+	// writes now, processed and nowBits on every event, and a Sweep runs
+	// one engine per worker, so engines allocated side by side must not
+	// share a line (measured: +12 % per sweep batch without it).
+	_ [16]byte
 }
 
 // NewEngine returns an engine with the clock at time 0.
@@ -157,7 +159,7 @@ func (h Handle) Canceled() bool {
 	return ev.gen != h.gen || ev.pos < 0
 }
 
-// validate ensures a schedulable (at, fn/dfn) pair.
+// validateAt ensures a schedulable event time.
 func (e *Engine) validateAt(at Time, label string) error {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		return fmt.Errorf("sim: invalid event time %v (%s)", at, label)
@@ -188,7 +190,6 @@ func (e *Engine) release(id int32) {
 	if ev.gen == 0 { // skip the reserved "stale" generation on wraparound
 		ev.gen = 1
 	}
-	ev.fn = nil
 	ev.dfn = nil
 	ev.data = Data{}
 	ev.label = ""
@@ -265,33 +266,19 @@ func (e *Engine) removeAt(pos int) int32 {
 	return id
 }
 
-// schedule is the common enqueue path.
-func (e *Engine) schedule(at Time, label string, fn func(*Engine), dfn DataFunc, d Data) (Handle, error) {
-	if err := e.validateAt(at, label); err != nil {
-		return Handle{}, err
-	}
-	id := e.alloc()
-	ev := &e.events[id]
-	ev.at = at
-	ev.seq = e.seq
-	e.seq++
-	ev.fn = fn
-	ev.dfn = dfn
-	ev.data = d
-	ev.label = label
-	e.push(id)
-	return Handle{id: id, gen: ev.gen, eng: e}, nil
-}
-
 // Schedule enqueues fn to run at time at. Scheduling in the past is an
 // error; scheduling exactly at the current time is allowed and runs after
-// all previously scheduled events for this instant.
+// all previously scheduled events for this instant. The closure rides in
+// Data.Ctx (a func value is pointer-shaped, so storing it allocates nothing).
 func (e *Engine) Schedule(at Time, label string, fn func(*Engine)) (Handle, error) {
 	if fn == nil {
 		return Handle{}, errors.New("sim: nil event function")
 	}
-	return e.schedule(at, label, fn, nil, Data{})
+	return e.ScheduleData(at, label, callClosure, Data{Ctx: fn})
 }
+
+// callClosure is the DataFunc of every Schedule'd event.
+func callClosure(e *Engine, d Data) { d.Ctx.(func(*Engine))(e) }
 
 // ScheduleData enqueues fn(e, d) to run at time at. With a top-level fn and
 // a pointer-shaped d.Ctx this path performs no heap allocation: the payload
@@ -301,7 +288,19 @@ func (e *Engine) ScheduleData(at Time, label string, fn DataFunc, d Data) (Handl
 	if fn == nil {
 		return Handle{}, errors.New("sim: nil event function")
 	}
-	return e.schedule(at, label, nil, fn, d)
+	if err := e.validateAt(at, label); err != nil {
+		return Handle{}, err
+	}
+	id := e.alloc()
+	ev := &e.events[id]
+	ev.at = at
+	ev.seq = e.seq
+	e.seq++
+	ev.dfn = fn
+	ev.data = d
+	ev.label = label
+	e.push(id)
+	return Handle{id: id, gen: ev.gen, eng: e}, nil
 }
 
 // MustSchedule is Schedule but panics on error. It is intended for internal
@@ -322,11 +321,6 @@ func (e *Engine) MustScheduleData(at Time, label string, fn DataFunc, d Data) Ha
 		panic(err)
 	}
 	return h
-}
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, label string, fn func(*Engine)) (Handle, error) {
-	return e.Schedule(e.now+d, label, fn)
 }
 
 // Cancel removes a scheduled event. Canceling an already-fired or
@@ -368,18 +362,7 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.setNow(0)
 	e.processed.Store(0)
-	e.stopped.Store(false)
 }
-
-// Stop makes the current Run/RunContext return after the in-flight event
-// completes. It is safe to call from any goroutine — this is the
-// cooperative cross-goroutine stop for runs driven without a Context.
-// Like a context cancellation, a stopped run leaves simulated time where
-// it halted rather than jumping to the horizon, so Progress reflects how
-// far it actually got and a later Run/RunContext resumes deterministically.
-// Run/RunContext clear the flag on entry, so a Stop that lands between
-// runs only affects Step until the next Run.
-func (e *Engine) Stop() { e.stopped.Store(true) }
 
 // fire pops the root event and executes it. The slot is released before the
 // callback runs (the callback may reuse it for a new event; stale handles
@@ -388,14 +371,10 @@ func (e *Engine) fire() {
 	id := e.removeAt(0)
 	ev := &e.events[id]
 	e.setNow(ev.at)
-	fn, dfn, d := ev.fn, ev.dfn, ev.data
+	dfn, d := ev.dfn, ev.data
 	e.release(id)
 	e.processed.Add(1)
-	if dfn != nil {
-		dfn(e, d)
-	} else {
-		fn(e)
-	}
+	dfn(e, d)
 }
 
 // ctxCheckInterval is how many events RunContext executes between context
@@ -403,42 +382,35 @@ func (e *Engine) fire() {
 // under a millisecond while the check cost amortizes to nothing.
 const ctxCheckInterval = 256
 
-// Run executes events in timestamp order until the queue is empty, the
-// horizon is passed, Stop is called, or the event limit is exceeded. The
-// engine time is left at min(horizon, last event time); events scheduled
-// after the horizon remain queued.
+// Run is RunContext without cancellation.
 func (e *Engine) Run(horizon Time) error {
-	return e.run(nil, horizon)
+	return e.RunContext(context.Background(), horizon)
 }
 
-// RunContext is Run with cooperative cancellation: the context is polled
-// every ctxCheckInterval events, and a done context aborts the run with
-// ctx.Err() after the in-flight event completes. On cancellation the
-// engine time stays where the run stopped (it does NOT jump to the
+// RunContext executes events in timestamp order until the queue is empty,
+// the horizon is passed, ctx is done, or the event limit is exceeded. The
+// engine time is left at min(horizon, last event time); events scheduled
+// after the horizon remain queued.
+//
+// Canceling ctx is the only way to stop a run: the context is polled on
+// entry and every ctxCheckInterval events, and a done context aborts the
+// run with ctx.Err() after the in-flight event completes. On cancellation
+// the engine time stays where the run stopped (it does NOT jump to the
 // horizon), so Progress reflects how far the run actually got; the queue
-// is left intact and a later Run/RunContext resumes deterministically.
-// Event execution and ordering are byte-identical to Run for the prefix
-// that completes — cancellation only decides where the prefix ends.
+// is left intact and a later run resumes deterministically. Cancellation
+// only decides where the executed prefix ends, never what it contains.
 func (e *Engine) RunContext(ctx context.Context, horizon Time) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return e.run(ctx, horizon)
-}
-
-// run is the shared event loop; ctx may be nil (plain Run).
-func (e *Engine) run(ctx context.Context, horizon Time) error {
-	e.stopped.Store(false)
 	countdown := ctxCheckInterval
-	for len(e.heap) > 0 && !e.stopped.Load() {
-		if ctx != nil {
-			countdown--
-			if countdown <= 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				countdown = ctxCheckInterval
+	for len(e.heap) > 0 {
+		countdown--
+		if countdown <= 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			countdown = ctxCheckInterval
 		}
 		next := &e.events[e.heap[0]]
 		if next.at > horizon {
@@ -453,27 +425,10 @@ func (e *Engine) run(ctx context.Context, horizon Time) error {
 		}
 		e.fire()
 	}
-	// A stopped run leaves time where it halted — like a canceled one —
-	// so Progress never reports an interrupted run as complete and events
-	// still queued before the horizon cannot fire in the past on resume.
-	if e.now < horizon && !e.stopped.Load() {
+	if e.now < horizon {
 		e.setNow(horizon)
 	}
 	return nil
-}
-
-// Step executes exactly one event if one is pending, returning whether an
-// event ran. Like Run, it honors Stop (no event runs after Stop until the
-// next Run resets it) and the configured event limit.
-func (e *Engine) Step() bool {
-	if e.stopped.Load() || len(e.heap) == 0 {
-		return false
-	}
-	if e.maxEvents > 0 && e.processed.Load() >= e.maxEvents {
-		return false
-	}
-	e.fire()
-	return true
 }
 
 // PeekTime returns the firing time of the next pending event, or +Inf when

@@ -141,8 +141,8 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	recurse = func(e *Engine) {
 		depth++
 		if depth < 10 {
-			if _, err := e.After(1, "rec", recurse); err != nil {
-				t.Errorf("After: %v", err)
+			if _, err := e.Schedule(e.Now()+1, "rec", recurse); err != nil {
+				t.Errorf("Schedule: %v", err)
 			}
 		}
 	}
@@ -168,19 +168,6 @@ func TestSameTimeScheduleRunsInSameInstant(t *testing.T) {
 	}
 	if len(got) != 2 || got[1] != "inner" {
 		t.Errorf("got %v, want [outer inner]", got)
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.MustSchedule(1, "a", func(e *Engine) { ran++; e.Stop() })
-	e.MustSchedule(2, "b", func(*Engine) { ran++ })
-	if err := e.Run(10); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if ran != 1 {
-		t.Errorf("ran = %d, want 1 (stopped)", ran)
 	}
 }
 
@@ -266,18 +253,15 @@ func TestQuickHeapOrdering(t *testing.T) {
 	// non-decreasing in time.
 	f := func(raw []uint16) bool {
 		e := NewEngine()
+		ordered, prev := true, -1.0
 		for _, r := range raw {
 			at := float64(r) / 16.0
-			e.MustSchedule(at, "q", func(*Engine) {})
+			e.MustSchedule(at, "q", func(e *Engine) {
+				ordered = ordered && e.Now() >= prev
+				prev = e.Now()
+			})
 		}
-		var prev float64 = -1
-		for e.Step() {
-			if e.Now() < prev {
-				return false
-			}
-			prev = e.Now()
-		}
-		return true
+		return e.Run(1<<16) == nil && ordered && e.Pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -18,9 +18,9 @@ const (
 	fieldDisqualifier = "disqualifier"
 )
 
-// scenarioFields classifies every field of Scenario. A new field must be
-// listed here — and so be thought about in Scenario.buildKey — before the
-// suite passes again.
+// scenarioFields classifies every field of Scenario, those of the embedded
+// buildScalars included. A new field must be listed here — and so be
+// thought about in Scenario.buildKey — before the suite passes again.
 var scenarioFields = map[string]string{
 	"name":     fieldNonKey,
 	"topology": fieldKey,
@@ -81,14 +81,24 @@ func (sliceAttack) Install(AttackContext) (PulseHandler, error) { return nil, ni
 // row — a key field changes the key, a non-key field does not, a
 // disqualifier makes the scenario not poolable.
 func TestScenarioBuildKey(t *testing.T) {
-	typ := reflect.TypeOf(Scenario{})
-	for i := 0; i < typ.NumField(); i++ {
-		if _, ok := scenarioFields[typ.Field(i).Name]; !ok {
-			t.Errorf("Scenario.%s is not classified as key, non-key or disqualifier", typ.Field(i).Name)
+	leaves := 0
+	var walk func(typ reflect.Type)
+	walk = func(typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if f.Anonymous {
+				walk(f.Type)
+				continue
+			}
+			leaves++
+			if _, ok := scenarioFields[f.Name]; !ok {
+				t.Errorf("%s.%s is not classified as key, non-key or disqualifier", typ.Name(), f.Name)
+			}
 		}
 	}
-	if len(scenarioFields) > typ.NumField() {
-		t.Errorf("scenarioFields lists %d fields, Scenario has %d", len(scenarioFields), typ.NumField())
+	walk(reflect.TypeOf(Scenario{}))
+	if len(scenarioFields) > leaves {
+		t.Errorf("scenarioFields lists %d fields, Scenario has %d", len(scenarioFields), leaves)
 	}
 
 	topo := Line(3)

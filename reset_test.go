@@ -277,7 +277,6 @@ func TestBackendResetCapability(t *testing.T) {
 
 type nopBackend struct{}
 
-func (nopBackend) Run(until float64) error                             { return nil }
 func (nopBackend) RunContext(ctx context.Context, until float64) error { return nil }
 func (nopBackend) Now() float64                                        { return 0 }
 func (nopBackend) Progress() Progress                                  { return Progress{} }

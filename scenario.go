@@ -34,12 +34,11 @@ type Scenario struct {
 	topoName string
 	topoSize int
 
-	k, f int
-
-	rho, maxDelay, uncertainty float64
-	preset                     Preset
-	c2, eps                    float64
-	derived                    *Params // overrides derivation entirely
+	buildScalars
+	// derived, when set, overrides derivation entirely. A pointer so that
+	// the many scenarios of a sweep share one copy of the constants; the
+	// build key takes it by value.
+	derived *Params
 
 	seed    int64
 	seedSet bool
@@ -47,9 +46,33 @@ type Scenario struct {
 	driftModel DriftModel
 	delayModel DelayModel
 
-	faults            []FaultSpec
-	perClusterAttack  func() Attack
-	perClusterCount   int
+	faults           []FaultSpec
+	perClusterAttack func() Attack
+	perClusterCount  int
+
+	// Advanced instrumentation (harness experiments).
+	modeOverride func(node NodeID, cluster ClusterID, round int) (int, bool)
+
+	// Execution hooks.
+	observe func(sys *System) (any, error)
+	hooks   []midRunHook
+
+	// backend, when set, replaces the core system build (WithBackend).
+	backend BackendBuilder
+
+	err error // first option error, surfaced at Build
+}
+
+// buildScalars holds the scalar build inputs. It is embedded in Scenario
+// and included by value in buildKey, so a scalar added here is part of the
+// key by construction.
+type buildScalars struct {
+	k, f int
+
+	rho, maxDelay, uncertainty float64
+	preset                     Preset
+	c2, eps                    float64
+
 	disableGlobalSkew bool
 	sampleInterval    float64
 
@@ -62,16 +85,6 @@ type Scenario struct {
 	staggerStart  float64
 	trackRounds   bool
 	trackClusters bool
-	modeOverride  func(node NodeID, cluster ClusterID, round int) (int, bool)
-
-	// Execution hooks.
-	observe func(sys *System) (any, error)
-	hooks   []midRunHook
-
-	// backend, when set, replaces the core system build (WithBackend).
-	backend BackendBuilder
-
-	err error // first option error, surfaced at Build
 }
 
 type midRunHook struct {
@@ -90,13 +103,13 @@ type Option func(*Scenario)
 // k=4, f=1, ρ=d=1e-3, U=1e-4, spread drift, uniform delays, no faults,
 // global-skew machinery enabled, Practical preset.
 func NewScenario(opts ...Option) *Scenario {
-	s := &Scenario{
+	s := &Scenario{buildScalars: buildScalars{
 		rho:         1e-3,
 		maxDelay:    1e-3,
 		uncertainty: 1e-4,
 		k:           4,
 		f:           1,
-	}
+	}}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -387,10 +400,10 @@ func (s *Scenario) expandFaults(topo *Topology) []FaultSpec {
 // equal keys build Systems that differ at most in seed, so a system built
 // from one can be Reset to the other's seed instead of rebuilt. Its fields
 // fall in three classes — the pinned topology's structural digest, the
-// scalar build inputs as plain fields, and the adversaries (drift, delay,
-// each expanded fault's strategy) as the interface value itself, compared
-// by dynamic type and value. The seed, name and observer are not part of
-// it.
+// scalar build inputs (the scenario's buildScalars, by value), and the
+// adversaries (drift, delay, each expanded fault's strategy) as the
+// interface value itself, compared by dynamic type and value. The seed,
+// name and observer are not part of it.
 type buildKey struct {
 	// poolable is false only in the zero key, which stands for "not
 	// poolable" and matches nothing.
@@ -398,23 +411,14 @@ type buildKey struct {
 
 	topology [sha256.Size]byte
 
-	k, f int
-
-	rho, maxDelay, uncertainty float64
-	preset                     Preset
-	c2, eps                    float64
-	hasDerived                 bool
-	derived                    Params
+	buildScalars
+	hasDerived bool
+	derived    Params
 
 	drift, delay any
 	// faults is the expanded fault list (explicit specs plus per-cluster
 	// plants) folded into nested faultKey values, nil when empty.
 	faults any
-
-	disableGlobalSkew            bool
-	sampleInterval, staggerStart float64
-	horizon, horizonRounds       float64
-	trackRounds, trackClusters   bool
 }
 
 // faultKey is one expanded fault plus the rest of the list.
@@ -445,16 +449,11 @@ func (s *Scenario) buildKey() buildKey {
 		return buildKey{}
 	}
 	key := buildKey{
-		poolable: true,
-		topology: s.topology.Digest(),
-		k:        s.k, f: s.f,
-		rho: s.rho, maxDelay: s.maxDelay, uncertainty: s.uncertainty,
-		preset: s.preset, c2: s.c2, eps: s.eps,
-		drift: s.driftModel, delay: s.delayModel,
-		disableGlobalSkew: s.disableGlobalSkew,
-		sampleInterval:    s.sampleInterval, staggerStart: s.staggerStart,
-		horizon: s.horizon, horizonRounds: s.horizonRounds,
-		trackRounds: s.trackRounds, trackClusters: s.trackClusters,
+		poolable:     true,
+		topology:     s.topology.Digest(),
+		buildScalars: s.buildScalars,
+		drift:        s.driftModel,
+		delay:        s.delayModel,
 	}
 	if s.derived != nil {
 		key.hasDerived, key.derived = true, *s.derived
@@ -485,42 +484,29 @@ func (s *Scenario) Horizon(p Params) float64 {
 	return DefaultHorizon
 }
 
-// Run builds the scenario, executes any mid-run hooks in time order,
-// advances to the horizon, and returns the report.
+// Run is RunContext without cancellation.
 func (s *Scenario) Run() (Report, error) {
-	rep, _, err := s.execute(nil)
-	return rep, err
+	return s.RunContext(context.Background())
 }
 
-// RunContext is Run with cooperative cancellation: a done context aborts
-// the simulation with ctx.Err() after the in-flight event. The event
-// prefix executed before cancellation is identical to an uncanceled
+// RunContext builds the scenario, executes any mid-run hooks in time
+// order, advances to the horizon, and returns the report. A done context
+// aborts the simulation with ctx.Err() after the in-flight event. The
+// event prefix executed before cancellation is identical to an uncanceled
 // run's — cancellation never perturbs results, it only truncates them.
 func (s *Scenario) RunContext(ctx context.Context) (Report, error) {
-	rep, _, err := s.execute(ctx)
-	return rep, err
-}
-
-// execute is the full run path: build, hooks, horizon, observation. A nil
-// ctx means uncancelable (the legacy Run path, with zero polling cost).
-func (s *Scenario) execute(ctx context.Context) (Report, any, error) {
 	sys, err := s.Build()
 	if err != nil {
-		return Report{}, nil, err
+		return Report{}, err
 	}
-	return s.executeOn(ctx, sys)
+	rep, _, err := s.executeOn(ctx, sys)
+	return rep, err
 }
 
 // executeOn runs an already-built system to the horizon, applying mid-run
 // hooks in time order and extracting the observer value. Shared with the
-// Sweep runner; ctx may be nil (no cancellation).
+// Sweep runner.
 func (s *Scenario) executeOn(ctx context.Context, sys *System) (Report, any, error) {
-	advance := func(until float64) error {
-		if ctx == nil {
-			return sys.Run(until)
-		}
-		return sys.RunContext(ctx, until)
-	}
 	horizon := s.Horizon(sys.Params())
 	hooks := append([]midRunHook(nil), s.hooks...)
 	sort.SliceStable(hooks, func(i, j int) bool { return hooks[i].at < hooks[j].at })
@@ -530,14 +516,14 @@ func (s *Scenario) executeOn(ctx context.Context, sys *System) (Report, any, err
 		if h.at >= horizon {
 			return Report{}, nil, fmt.Errorf("ftgcs: scenario %q: mid-run hook at %g ≥ horizon %g", s.name, h.at, horizon)
 		}
-		if err := advance(h.at); err != nil {
+		if err := sys.RunContext(ctx, h.at); err != nil {
 			return Report{}, nil, err
 		}
 		if err := h.fn(sys); err != nil {
 			return Report{}, nil, err
 		}
 	}
-	if err := advance(horizon); err != nil {
+	if err := sys.RunContext(ctx, horizon); err != nil {
 		return Report{}, nil, err
 	}
 	var value any

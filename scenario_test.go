@@ -69,7 +69,7 @@ func TestScenarioWithVariants(t *testing.T) {
 func TestScenarioRunWithHooksAndObserver(t *testing.T) {
 	var hookTime float64
 	var observed any
-	sc := NewScenario(
+	rep, err := NewScenario(
 		WithTopology(Line(2)),
 		WithClusters(4, 1),
 		WithSeed(3),
@@ -79,14 +79,13 @@ func TestScenarioRunWithHooksAndObserver(t *testing.T) {
 			return sys.InjectClockFault(0, 1e-6)
 		}),
 		WithObserver(func(sys *System) (any, error) {
-			return sys.Summary(0).MaxLocalNode, nil
+			observed = sys.Summary(0).MaxLocalNode
+			return observed, nil
 		}),
-	)
-	rep, value, err := sc.execute(nil)
+	).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed = value
 	if hookTime != 1.0 {
 		t.Errorf("hook ran at %v, want 1.0", hookTime)
 	}

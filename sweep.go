@@ -62,24 +62,19 @@ type Sweep struct {
 	OnScenarioDone func(index int, res SweepResult)
 }
 
-// Run executes the scenarios and returns one result per scenario, in
-// input order. Individual failures are reported per result, never
-// panicking the pool.
+// Run is RunContext without cancellation.
 func (sw Sweep) Run(scenarios []*Scenario) []SweepResult {
-	return sw.run(nil, scenarios)
+	return sw.RunContext(context.Background(), scenarios)
 }
 
-// RunContext is Run with cooperative cancellation: when ctx is done, the
-// sweep stops dispatching queued scenarios and interrupts in-flight ones.
-// Scenarios that completed before the cancellation carry results
-// byte-identical to the same scenarios in an uncanceled sweep;
-// interrupted and undispatched ones carry ctx.Err() in their Err field.
+// RunContext executes the scenarios and returns one result per scenario,
+// in input order. Individual failures are reported per result, never
+// panicking the pool. When ctx is done, the sweep stops dispatching queued
+// scenarios and interrupts in-flight ones. Scenarios that completed before
+// the cancellation carry results byte-identical to the same scenarios in
+// an uncanceled sweep; interrupted and undispatched ones carry ctx.Err()
+// in their Err field.
 func (sw Sweep) RunContext(ctx context.Context, scenarios []*Scenario) []SweepResult {
-	return sw.run(ctx, scenarios)
-}
-
-// run is the shared pool; ctx may be nil (uncancelable).
-func (sw Sweep) run(ctx context.Context, scenarios []*Scenario) []SweepResult {
 	out := make([]SweepResult, len(scenarios))
 	workers := sw.Workers
 	if workers <= 0 {
@@ -87,10 +82,6 @@ func (sw Sweep) run(ctx context.Context, scenarios []*Scenario) []SweepResult {
 	}
 	if workers > len(scenarios) {
 		workers = len(scenarios)
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done() // nil channel (blocks forever) when ctx is nil
 	}
 	pool := sw.callPool(workers)
 	var wg sync.WaitGroup
@@ -113,7 +104,7 @@ func (sw Sweep) run(ctx context.Context, scenarios []*Scenario) []SweepResult {
 	}
 	for i := range scenarios {
 		select {
-		case <-done:
+		case <-ctx.Done():
 			// Cancellation: stop dispatching. Everything not yet handed to
 			// a worker reports the context error; in-flight scenarios are
 			// interrupted by their own RunContext polling.
@@ -136,8 +127,9 @@ func (sw Sweep) run(ctx context.Context, scenarios []*Scenario) []SweepResult {
 }
 
 // callPool returns the pool one call's scenarios run through: none under
-// NoReuse, Sweep.Pool when set, else the call's own. A function so that run
-// assigns the result once and its worker closures capture it by value.
+// NoReuse, Sweep.Pool when set, else the call's own. A function so that
+// RunContext assigns the result once and its worker closures capture it by
+// value.
 func (sw Sweep) callPool(workers int) *SystemPool {
 	switch {
 	case sw.NoReuse:
@@ -163,11 +155,9 @@ func (sw Sweep) runOne(ctx context.Context, sc *Scenario, index int, pool *Syste
 	}()
 	// A scenario dispatched in the same instant the sweep was canceled
 	// skips even its build: promptness over starting doomed work.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			res.Err = err
-			return
-		}
+	if err := ctx.Err(); err != nil {
+		res.Err = err
+		return
 	}
 	if _, ok := sc.Seeded(); !ok {
 		sc = sc.With(WithSeed(sw.BaseSeed + int64(index)))
