@@ -11,11 +11,11 @@ import (
 )
 
 // Backend is the minimal simulation surface a Scenario needs to run to a
-// horizon and be measured. The standard backend is the core FTGCS system;
-// WithBackend substitutes an alternative implementation — the hook that
-// lets comparison baselines (internal/baseline's TreeSync) run through
-// the same Sweep machinery, job manager and result pipeline as
-// first-class scenarios instead of hand-rolled sequential loops.
+// horizon and be measured. It has two implementations: the core FTGCS
+// system (the only Algorithm 1 in the repository) and, through
+// WithBackend, internal/baseline's TreeSync — the comparison baseline of
+// experiment E9, which thereby runs through the same Sweep machinery, job
+// manager and result pipeline instead of a hand-rolled sequential loop.
 type Backend interface {
 	// RunContext advances simulated time to the given horizon (seconds).
 	// Canceling ctx is the only way to stop it early: a done context
@@ -40,24 +40,9 @@ type Backend interface {
 	Diameter() int
 }
 
-// ResettableBackend is the optional capability a Backend may implement to
-// support in-place reuse across runs. Reset(seed) must rewind the backend
-// to a fresh pre-run state under the new seed such that a subsequent run
-// is byte-identical to one on a freshly built backend with that seed —
-// same recorded series, same summaries, same event count. The standard
-// core backend implements it (arena-style: all build-time allocations
-// survive); backends that cannot make the byte-identity guarantee (the
-// TreeSync baseline, livenet) simply omit the method, and callers —
-// System.Reset, the Sweep reuse path — detect the absence and fall back
-// to rebuilding.
-type ResettableBackend interface {
-	// Reset rewinds to a fresh pre-run state under the new seed. On error
-	// the backend is in an undefined state and must be discarded.
-	Reset(seed int64) error
-}
-
-// ErrNotResettable is returned by System.Reset when the underlying
-// backend does not implement ResettableBackend.
+// ErrNotResettable is returned by System.Reset on a system driven by a
+// custom Backend (WithBackend): only the standard core system carries the
+// reset contract.
 var ErrNotResettable = errors.New("ftgcs: backend does not support reset")
 
 // Progress is a cross-goroutine-safe snapshot of a running system: how
@@ -76,36 +61,22 @@ type coreBackend struct {
 func (cb coreBackend) Now() float64  { return cb.Engine().Now() }
 func (cb coreBackend) Diameter() int { return cb.Aug().Base.Diameter() }
 
-// coreBackend satisfies ResettableBackend through the promoted
-// core.System.Reset; the assertion documents (and pins) the capability.
-var _ ResettableBackend = coreBackend{}
-
-// CanReset reports whether the system's backend supports in-place reset
-// (see ResettableBackend). Callers batching many runs use it to choose
-// between Reset-per-run and rebuild-per-run up front.
-func (s *System) CanReset() bool {
-	_, ok := s.b.(ResettableBackend)
-	return ok
-}
-
 // Reset rewinds the system to a fresh pre-run state under the new seed,
 // reusing every structure Build allocated. A subsequent Run produces
 // output byte-identical to a freshly built System with that seed and the
 // same structural build inputs — note a system built from a randomized
 // named topology keeps its already-drawn graph (reset never redraws
 // structure; the Sweep reuse path therefore only kicks in for scenarios
-// sharing a pinned *Topology). Returns
-// ErrNotResettable for backends without the capability (the caller should
-// rebuild instead); any other error leaves the system in an undefined
-// state — discard it. Values read from a previous run that alias live
-// system state (Series pointers, RoundTrace slices) are invalidated by a
-// Reset: clone what must outlive it.
+// sharing a pinned *Topology). Returns ErrNotResettable for a custom
+// backend (the caller should rebuild instead); any other error leaves the
+// system in an undefined state — discard it. Values read from a previous
+// run that alias live system state (Series pointers, RoundTrace slices)
+// are invalidated by a Reset: clone what must outlive it.
 func (s *System) Reset(seed int64) error {
-	rb, ok := s.b.(ResettableBackend)
-	if !ok {
+	if s.sys == nil {
 		return ErrNotResettable
 	}
-	return rb.Reset(seed)
+	return s.sys.Reset(seed)
 }
 
 // BackendBuilder constructs a custom simulation backend from the

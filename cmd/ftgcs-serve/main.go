@@ -70,7 +70,6 @@ func run(args []string) error {
 	workers := fs.Int("workers", 2, "concurrent job executors")
 	queue := fs.Int("queue", 64, "pending-job queue depth (full queue → 503)")
 	cache := fs.Int("cache", 128, "result LRU capacity (entries)")
-	shards := fs.Int("shards", 0, "job-index shard count; submissions and lookups stripe across shard locks (0 = default 16)")
 	poolSize := fs.Int("pool-size", 0, "cross-job arena pool capacity in built systems (0 = default 8)")
 	sweepWorkers := fs.Int("sweep-workers", 0, "per-job sweep pool size for replicated specs (0 = GOMAXPROCS)")
 	waitLimit := fs.Duration("wait-limit", 2*time.Minute, "maximum blocking time for ?wait=true requests")
@@ -101,7 +100,6 @@ func run(args []string) error {
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		CacheSize:    *cache,
-		Shards:       *shards,
 		PoolSize:     *poolSize,
 		SweepWorkers: *sweepWorkers,
 		RunLimit:     *runLimit,

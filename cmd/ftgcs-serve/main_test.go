@@ -485,6 +485,30 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: both submission routes stop reading at
+// maxBodyBytes and answer 413 with the usual error JSON, however
+// well-formed the oversized document is.
+func TestOversizedBodyIs413(t *testing.T) {
+	ts, mgr := newTestServer(t, jobs.Options{})
+
+	pad := strings.Repeat("a", maxBodyBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/experiments", `{"spec": {"name": "` + pad + `", "topology": {"name": "line", "size": 2}}}`},
+		{"/v1/manifests", `{"name": "` + pad + `", "arms": [{"name": "a"}]}`},
+	} {
+		code, body := post(t, ts, tc.path, tc.body)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &e) != nil || e.Error == "" {
+			t.Errorf("POST %s with a %d-byte body: %d %.200s, want 413 with an error message", tc.path, len(tc.body), code, body)
+		}
+	}
+	if s := mgr.Stats(); s.Submitted != 0 {
+		t.Errorf("oversized bodies must not create work: %+v", s)
+	}
+}
+
 // longLineSpec is validation-legal but heavy enough to still be running
 // when tests cancel it.
 const longLineSpec = `{"spec": {"topology": {"name": "line", "size": 2}, "seed": 99, "horizon": {"seconds": 50000}}}`

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -91,10 +89,6 @@ type server struct {
 	// Admission telemetry, populated by newHandler.
 	admitted *telemetry.Counter
 	rejected *telemetry.CounterVec
-	// memo is the raw-body → prepared-submission cache: hot resubmissions
-	// of a byte-identical single-spec body skip decoding and hashing.
-	// Defaulted by newHandler.
-	memo *bodyMemo
 }
 
 // newHandler builds the route table.
@@ -129,9 +123,6 @@ func newHandler(s *server) http.Handler {
 	}
 	if s.retryAfter <= 0 {
 		s.retryAfter = time.Second
-	}
-	if s.memo == nil {
-		s.memo = newBodyMemo(512)
 	}
 	s.httpDur = s.tel.HistogramVec("ftgcs_http_request_duration_seconds",
 		"HTTP request latency by route pattern and status class.",
@@ -178,41 +169,33 @@ type postBody struct {
 	Experiments   []jobs.Request     `json:"experiments,omitempty"`
 }
 
-func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+// maxBodyBytes caps the POST body on both submission routes, so no
+// client can make the server buffer more than this. A spec names its
+// topology rather than listing edges, so a full spec is a few hundred
+// bytes: 1 MiB holds a batch of thousands, or any manifest
+// (manifest.MaxJobs bounds the expansion, not the text).
+const maxBodyBytes = 1 << 20
+
+// writeDecodeError answers a body that failed to decode: 413 when it hit
+// the maxBodyBytes cap, else 400.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
 		return
 	}
-	wait := boolParam(r, "wait")
+	writeError(w, http.StatusBadRequest, err)
+}
 
-	// Memo fast path: a byte-identical single-spec body seen before maps
-	// straight to its prepared submission — no JSON decode, no canonical
-	// re-marshal, no SHA-256. Admission still charges its token first;
-	// the memo accelerates a request, it never smuggles one past the
-	// rate budget.
-	if len(raw) <= maxMemoBody {
-		if p, ok := s.memo.get(raw); ok {
-			if !s.admitRequest(w, r, 1) {
-				return
-			}
-			st, err := s.submitPrepared(r.Context(), p, wait)
-			if err != nil {
-				s.writeSubmitError(w, err)
-				return
-			}
-			writeJSON(w, statusCode(st), st)
-			return
-		}
-	}
-
-	dec := json.NewDecoder(bytes.NewReader(raw))
+func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	var body postBody
 	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+		writeDecodeError(w, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
+	wait := boolParam(r, "wait")
 	if (body.Spec == nil) == (len(body.Experiments) == 0) {
 		writeError(w, http.StatusBadRequest, errors.New(`provide exactly one of "spec" or a non-empty "experiments"`))
 		return
@@ -233,11 +216,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			s.writeSubmitError(w, err)
 			return
-		}
-		// Only successfully prepared single-spec bodies are memoized, so a
-		// later byte-identical hit replays exactly this submission.
-		if len(raw) <= maxMemoBody {
-			s.memo.put(raw, p)
 		}
 		st, err := s.submitPrepared(r.Context(), p, wait)
 		if err != nil {
@@ -459,9 +437,9 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // one (201). ?wait=true blocks — bounded by -wait-limit — until every
 // job is terminal.
 func (s *server) handleManifestSubmit(w http.ResponseWriter, r *http.Request) {
-	m, err := manifest.Decode(r.Body)
+	m, err := manifest.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeDecodeError(w, err)
 		return
 	}
 	// A manifest costs one admission token: its arms trickle through the

@@ -61,7 +61,7 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// Guarded by the job's shard mutex.
+	// Guarded by the manager's index mutex.
 	state  State
 	result *Result
 	// payload is result's canonical marshaled body with the name field
@@ -84,17 +84,10 @@ type Options struct {
 	// QueueDepth bounds the pending-job queue (≤0: 64). A full queue
 	// rejects submissions with ErrQueueFull instead of blocking.
 	QueueDepth int
-	// CacheSize bounds the completed-result LRU (≤0: 128 entries). The
-	// cache is striped across Shards; each stripe holds an independent
-	// LRU of ⌈CacheSize/Shards⌉ entries, so the total capacity rounds up
-	// to a multiple of the shard count and recency is tracked per stripe.
-	// Set Shards to 1 for a single strictly-LRU cache.
+	// CacheSize is the capacity of the completed-result cache (≤0: 128):
+	// one strict LRU holding exactly that many entries, so the least
+	// recently used result is the one evicted.
 	CacheSize int
-	// Shards is the number of lock stripes the in-flight index and the
-	// result cache are split across (≤0: 16). Jobs land on a stripe by a
-	// hash of their content-addressed ID, so concurrent submits, gets and
-	// waits of distinct jobs take distinct locks and never contend.
-	Shards int
 	// PoolSize bounds the cross-job arena pool: completed sweeps park
 	// their built Systems here and later jobs with an equal build key
 	// (see ftgcs.SystemPool) reset one in place instead of rebuilding
@@ -191,9 +184,9 @@ func isCancellation(err error) bool {
 		errors.Is(err, ErrCanceled) || errors.Is(err, ErrClosed) || errors.Is(err, ErrRunLimit)
 }
 
-// Manager owns the queue, the workers, the sharded in-flight dedup
-// index and result cache, and the cross-job arena pool. All methods are
-// safe for concurrent use.
+// Manager owns the queue, the workers, the in-flight dedup index and
+// result cache, and the cross-job arena pool. All methods are safe for
+// concurrent use.
 type Manager struct {
 	reg          *ftgcs.Registry
 	sweepWorkers int
@@ -208,15 +201,16 @@ type Manager struct {
 	tel *telemetry.Registry
 	met *managerMetrics
 
-	// shards stripe the in-flight index and the result cache by job-ID
-	// hash: a job's state, result and payload are guarded by its shard's
-	// mutex, so operations on distinct jobs take distinct locks. closed
-	// is the lifecycle latch: Submit holds closeMu for reading across
-	// its closed-check → enqueue window, Close holds it for writing
-	// while flipping the latch — so no submission can slip a job into
-	// the queue after Close started draining it. running is the
-	// busy-worker gauge.
-	shards  []shard
+	// mu guards the job index — active and cache — and every indexed
+	// job's mutable fields (state, result, err, prog, payload) for the
+	// job's whole life. closed is the lifecycle latch: Submit holds
+	// closeMu for reading across its closed-check → enqueue window, Close
+	// holds it for writing while flipping the latch — so no submission
+	// can slip a job into the queue after Close started draining it.
+	// running is the busy-worker gauge.
+	mu      sync.Mutex
+	active  map[string]*job // queued or running
+	cache   *lruCache       // completed (done or failed: failures are deterministic too)
 	closeMu sync.RWMutex
 	closed  atomic.Bool
 	running atomic.Int64
@@ -260,25 +254,6 @@ type Manager struct {
 	TestHookBeforeRun func()
 }
 
-// shard is one lock stripe of the manager's job index: the in-flight
-// jobs and the completed-result LRU whose IDs hash here. A job's
-// mutable fields (state, result, err, prog, payload) are guarded by its
-// shard's mutex for its whole life.
-type shard struct {
-	mu     sync.Mutex
-	active map[string]*job // queued or running
-	cache  *lruCache       // completed (done or failed: failures are deterministic too)
-}
-
-// shard maps a job ID onto its lock stripe (FNV-1a over the ID).
-func (m *Manager) shard(id string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
-	}
-	return &m.shards[h%uint32(len(m.shards))]
-}
-
 // NewManager starts the workers and returns the manager.
 func NewManager(o Options) *Manager {
 	if o.Registry == nil {
@@ -311,9 +286,6 @@ func NewManager(o Options) *Manager {
 	if o.StoreCooldown <= 0 {
 		o.StoreCooldown = 5 * time.Second
 	}
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
 	if o.PoolSize <= 0 {
 		o.PoolSize = 8
 	}
@@ -324,7 +296,8 @@ func NewManager(o Options) *Manager {
 		runLimit:        o.RunLimit,
 		queue:           make(chan *job, o.QueueDepth),
 		quit:            make(chan struct{}),
-		shards:          make([]shard, o.Shards),
+		active:          make(map[string]*job),
+		cache:           newLRUCache(o.CacheSize),
 		store:           o.Store,
 		storeRetries:    o.StoreRetries,
 		storeBackoff:    o.StoreRetryBackoff,
@@ -333,10 +306,6 @@ func NewManager(o Options) *Manager {
 		storerInterrupt: make(chan struct{}),
 		tel:             o.Telemetry,
 		met:             newManagerMetrics(o.Telemetry),
-	}
-	perShard := (o.CacheSize + o.Shards - 1) / o.Shards
-	for i := range m.shards {
-		m.shards[i] = shard{active: make(map[string]*job), cache: newLRUCache(perShard)}
 	}
 	if !o.NoReuse {
 		m.pool = ftgcs.NewSystemPool(o.PoolSize)
@@ -398,7 +367,7 @@ func (m *Manager) Submit(req Request) (JobStatus, error) {
 
 // SubmitPrepared is Submit for a request whose identity was already
 // derived by PrepareRequest — the hashing fast path: a cache hit costs
-// one shard lock and zero canonicalization work.
+// one lock, one lookup and zero canonicalization work.
 func (m *Manager) SubmitPrepared(p PreparedRequest) (JobStatus, error) {
 	if p.id == "" {
 		return JobStatus{}, fmt.Errorf("jobs: unprepared request")
@@ -411,13 +380,12 @@ func (m *Manager) SubmitPrepared(p PreparedRequest) (JobStatus, error) {
 	// submission without validating — a hit's spec already validated when
 	// its job was created, and validation resolves the topology graph,
 	// which is exactly the work dedup exists to avoid repeating.
-	sh := m.shard(p.id)
-	sh.mu.Lock()
-	if st, ok := m.serveLocked(sh, p.id, p.name); ok {
-		sh.mu.Unlock()
+	m.mu.Lock()
+	st, ok := m.serveLocked(p.id, p.name)
+	m.mu.Unlock()
+	if ok {
 		return st, nil
 	}
-	sh.mu.Unlock()
 
 	// Shed load before the expensive graph build: a full queue would
 	// reject this submission after validation anyway (the enqueue below
@@ -447,10 +415,10 @@ func (m *Manager) SubmitPrepared(p PreparedRequest) (JobStatus, error) {
 	if m.closed.Load() {
 		return JobStatus{}, ErrClosed
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	// An identical submission may have landed while validation ran.
-	if st, ok := m.serveLocked(sh, p.id, p.name); ok {
+	if st, ok := m.serveLocked(p.id, p.name); ok {
 		return st, nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -463,34 +431,38 @@ func (m *Manager) SubmitPrepared(p PreparedRequest) (JobStatus, error) {
 	}
 	j.enqueuedAt = time.Now()
 	trace.Phase("queued")
-	sh.active[p.id] = j
+	m.active[p.id] = j
 	m.met.submitted.Inc()
 	m.met.misses.Inc() // neither coalesced nor cached: fresh work
 	return snapshotLocked(j, ""), nil
 }
 
-// serveLocked answers a submission from the in-flight index, the memory
-// cache, or the disk store, overlaying the submitter's display name;
-// callers hold sh.mu.
-func (m *Manager) serveLocked(sh *shard, id, name string) (JobStatus, bool) {
-	if j, ok := sh.active[id]; ok {
+// serveLocked answers a submission from the index, overlaying the
+// submitter's display name; an in-flight job coalesces the submission
+// onto its run. Callers hold m.mu.
+func (m *Manager) serveLocked(id, name string) (JobStatus, bool) {
+	j, tier, ok := m.findLocked(id)
+	if !ok {
+		return JobStatus{}, false
+	}
+	st := snapshotLocked(j, tier).WithName(name)
+	if tier == "" {
 		m.met.coalesced.Inc()
-		st := snapshotLocked(j, "").WithName(name)
 		st.Coalesced = true
-		return st, true
 	}
-	if j, tier, ok := m.lookupLocked(sh, id); ok {
-		return snapshotLocked(j, tier).WithName(name), true
-	}
-	return JobStatus{}, false
+	return st, true
 }
 
-// lookupLocked consults the result caches, memory first: a memory hit
+// findLocked is the index's one lookup: the in-flight jobs first (tier
+// ""), then the result caches, memory before disk. A memory hit
 // refreshes LRU recency; a disk hit rehydrates the stored result into a
 // completed job record and promotes it into the memory LRU, so repeat
-// lookups hit memory. Callers hold sh.mu.
-func (m *Manager) lookupLocked(sh *shard, id string) (*job, CacheTier, bool) {
-	if j, ok := sh.cache.get(id); ok {
+// lookups hit memory. Callers hold m.mu.
+func (m *Manager) findLocked(id string) (*job, CacheTier, bool) {
+	if j, ok := m.active[id]; ok {
+		return j, "", true
+	}
+	if j, ok := m.cache.get(id); ok {
 		m.met.hitsMemory.Inc()
 		return j, TierMemory, true
 	}
@@ -512,7 +484,7 @@ func (m *Manager) lookupLocked(sh *shard, id string) (*job, CacheTier, bool) {
 	// subsequent hit splices instead of marshaling.
 	j := &job{id: id, specHash: res.SpecHash, state: StateDone, result: &res, payload: newResultPayload(&res), done: closedChan}
 	m.met.hitsDisk.Inc()
-	m.met.evicted.Add(uint64(sh.cache.add(id, j)))
+	m.met.evicted.Add(uint64(m.cache.add(id, j)))
 	return j, TierDisk, true
 }
 
@@ -528,17 +500,14 @@ var closedChan = func() chan struct{} {
 // the in-flight index, the result cache, and the disk store (a cache
 // lookup counts as a hit and refreshes recency).
 func (m *Manager) Get(id string) (JobStatus, bool) {
-	sh := m.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if j, ok := sh.active[id]; ok {
-		return snapshotLocked(j, ""), true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, tier, ok := m.findLocked(id)
+	if !ok {
+		m.met.misses.Inc()
+		return JobStatus{}, false
 	}
-	if j, tier, ok := m.lookupLocked(sh, id); ok {
-		return snapshotLocked(j, tier), true
-	}
-	m.met.misses.Inc()
-	return JobStatus{}, false
+	return snapshotLocked(j, tier), true
 }
 
 // Wait blocks until the job completes (or ctx is done) and returns its
@@ -548,34 +517,33 @@ func (m *Manager) Get(id string) (JobStatus, bool) {
 // ErrCanceled: the waiter's work was never completed, resubmitting runs
 // it afresh.
 func (m *Manager) Wait(ctx context.Context, id string) (JobStatus, error) {
-	sh := m.shard(id)
-	sh.mu.Lock()
-	j, inflight := sh.active[id]
-	if !inflight {
-		if cached, tier, ok := m.lookupLocked(sh, id); ok {
-			st := snapshotLocked(cached, tier)
-			sh.mu.Unlock()
-			return st, nil
-		}
-		sh.mu.Unlock()
+	m.mu.Lock()
+	j, tier, ok := m.findLocked(id)
+	if !ok {
+		m.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
-	done := j.done
-	sh.mu.Unlock()
+	if tier != "" {
+		st := snapshotLocked(j, tier)
+		m.mu.Unlock()
+		return st, nil
+	}
+	m.mu.Unlock()
 
+	// j.done is set at Submit and never reassigned.
 	select {
-	case <-done:
+	case <-j.done:
 	case <-ctx.Done():
 		return JobStatus{}, ctx.Err()
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if j.state == StateCanceled {
 		return snapshotLocked(j, ""), fmt.Errorf("jobs: job %s: %w", id, ErrCanceled)
 	}
 	// The job just finished; it is in the cache unless a flood of newer
 	// results already evicted it.
-	if cached, ok := sh.cache.get(id); ok {
+	if cached, ok := m.cache.get(id); ok {
 		return snapshotLocked(cached, ""), nil
 	}
 	return JobStatus{}, fmt.Errorf("jobs: job %s: %w", id, ErrEvicted)
@@ -591,34 +559,32 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobStatus, error) {
 // Completed jobs return ErrCompleted (their cached result stays valid);
 // IDs that are neither active nor cached return ErrUnknownJob.
 func (m *Manager) Cancel(id string) (JobStatus, error) {
-	sh := m.shard(id)
-	sh.mu.Lock()
-	j, ok := sh.active[id]
+	m.mu.Lock()
+	j, tier, ok := m.findLocked(id)
 	if !ok {
-		if cached, tier, okc := m.lookupLocked(sh, id); okc {
-			st := snapshotLocked(cached, tier)
-			sh.mu.Unlock()
-			return st, ErrCompleted
-		}
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
+	}
+	if tier != "" {
+		st := snapshotLocked(j, tier)
+		m.mu.Unlock()
+		return st, ErrCompleted
 	}
 	j.cancel()
 	if j.state == StateQueued {
 		// Never picked up: finish it here. The job object stays in the
 		// channel until a worker (or Close) drains and skips it.
-		m.finishLocked(sh, j, nil, nil, ErrCanceled)
+		m.finishLocked(j, nil, nil, ErrCanceled)
 		st := snapshotLocked(j, "")
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		return st, nil
 	}
-	done := j.done
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	// Running: the sweep aborts at its next context poll (a few hundred
 	// simulation events, microseconds of wall clock).
-	<-done
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	<-j.done
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if j.state == StateCanceled {
 		return snapshotLocked(j, ""), nil
 	}
@@ -634,21 +600,15 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 // dropped from every index, so a watcher can always render the
 // terminal state it was waiting for.
 func (m *Manager) Done(id string) (<-chan struct{}, func() JobStatus, bool) {
-	sh := m.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var j *job
-	var tier CacheTier
-	if a, ok := sh.active[id]; ok {
-		j = a
-	} else if c, t, ok := m.lookupLocked(sh, id); ok {
-		j, tier = c, t
-	} else {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, tier, ok := m.findLocked(id)
+	if !ok {
 		return nil, nil, false
 	}
 	snap := func() JobStatus {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+		m.mu.Lock()
+		defer m.mu.Unlock()
 		return snapshotLocked(j, tier)
 	}
 	return j.done, snap, true
@@ -660,12 +620,13 @@ func (m *Manager) Done(id string) (<-chan struct{}, func() JobStatus, bool) {
 // process life), and canceled jobs are dropped entirely — both report
 // ok=false, like an unknown ID.
 func (m *Manager) Trace(id string) (TraceInfo, bool) {
-	sh := m.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	j, ok := sh.active[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Not findLocked: a trace lives only in memory, so a disk lookup (and
+	// the promotion it causes) could never produce one.
+	j, ok := m.active[id]
 	if !ok {
-		j, ok = sh.cache.get(id)
+		j, ok = m.cache.get(id)
 	}
 	if !ok || j.trace == nil {
 		return TraceInfo{}, false
@@ -697,18 +658,12 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// cacheLen sums the result-cache occupancy across shards (one registry
-// view over N stripes — Stats and the ftgcs_jobs_cache_entries gauge
-// both read it).
+// cacheLen is the result cache's occupancy (Stats and the
+// ftgcs_jobs_cache_entries gauge both read it).
 func (m *Manager) cacheLen() int {
-	total := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		total += sh.cache.len()
-		sh.mu.Unlock()
-	}
-	return total
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cache.len()
 }
 
 // Pool exposes the cross-job arena pool's statistics (zero-valued when
@@ -730,14 +685,11 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closeMu.Unlock()
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, j := range sh.active {
-			j.cancel()
-		}
-		sh.mu.Unlock()
+	m.mu.Lock()
+	for _, j := range m.active {
+		j.cancel()
 	}
+	m.mu.Unlock()
 	close(m.quit)
 	m.wg.Wait()
 	for {
@@ -772,12 +724,11 @@ func (m *Manager) worker() {
 			if m.TestHookBeforeRun != nil {
 				m.TestHookBeforeRun()
 			}
-			sh := m.shard(j.id)
-			sh.mu.Lock()
+			m.mu.Lock()
 			if j.state != StateQueued {
 				// Canceled while queued: Cancel already finished it; the
 				// stale channel entry is skipped.
-				sh.mu.Unlock()
+				m.mu.Unlock()
 				continue
 			}
 			j.state = StateRunning
@@ -787,7 +738,7 @@ func (m *Manager) worker() {
 			m.met.runs.Inc()
 			m.met.queueWait.Observe(j.startedAt.Sub(j.enqueuedAt).Seconds())
 			j.trace.Phase("building")
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			res, err := m.execute(j)
 			// The canonical payload is marshaled here, off every lock:
 			// it is both the bytes the zero-copy serving path splices
@@ -805,17 +756,15 @@ func (m *Manager) worker() {
 // the result cache (done and failed only — canceled work is partial and
 // must never be served back), and wakes waiters.
 func (m *Manager) finish(j *job, res *Result, payload *resultPayload, err error) {
-	sh := m.shard(j.id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	m.finishLocked(sh, j, res, payload, err)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finishLocked(j, res, payload, err)
 }
 
-// finishLocked is finish for callers already holding the job's shard
-// mutex. A job already in a terminal state is left untouched: a queued
-// job canceled by Cancel is finished there and its stale queue entry
-// drained later.
-func (m *Manager) finishLocked(sh *shard, j *job, res *Result, payload *resultPayload, err error) {
+// finishLocked is finish for callers already holding m.mu. A job already
+// in a terminal state is left untouched: a queued job canceled by Cancel
+// is finished there and its stale queue entry drained later.
+func (m *Manager) finishLocked(j *job, res *Result, payload *resultPayload, err error) {
 	ran := false
 	switch j.state {
 	case StateDone, StateFailed, StateCanceled:
@@ -852,9 +801,9 @@ func (m *Manager) finishLocked(sh *shard, j *job, res *Result, payload *resultPa
 	j.topo = nil // the cache keeps jobs around; don't pin their graphs too
 	j.prog = nil // nor their in-flight systems (the trace stays: it is
 	// the job's durable lifecycle record, served by /trace)
-	delete(sh.active, j.id)
+	delete(m.active, j.id)
 	if j.state != StateCanceled {
-		m.met.evicted.Add(uint64(sh.cache.add(j.id, j)))
+		m.met.evicted.Add(uint64(m.cache.add(j.id, j)))
 	}
 	if j.state == StateDone && m.store != nil {
 		// Write-behind to the disk tier; the storer goroutine picks it

@@ -374,10 +374,35 @@ func TestValidationErrorsNeverCreateJobs(t *testing.T) {
 	}
 }
 
+// TestStrictLRUAtDefaultOptions pins what CacheSize means: exactly that
+// many results are kept, the least recently used is the one evicted, and
+// nothing about the IDs (they are hashes) decides which results survive.
+func TestStrictLRUAtDefaultOptions(t *testing.T) {
+	m := NewManager(Options{CacheSize: 4})
+	defer m.Close()
+
+	const n = 20
+	ids := make([]string, n)
+	for i := range ids {
+		st, err := m.Submit(Request{Spec: quickSpec(int64(100 + i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+		waitDone(t, m, st.ID)
+	}
+	if s := m.Stats(); s.CacheLen != 4 || s.Evicted != n-4 {
+		t.Fatalf("want 4 cached and %d evicted, got %+v", n-4, s)
+	}
+	for i, id := range ids {
+		if _, ok := m.Get(id); ok != (i >= n-4) {
+			t.Errorf("job %d of %d: cached = %v", i+1, n, ok)
+		}
+	}
+}
+
 func TestLRUEvictionRecomputes(t *testing.T) {
-	// Shards: 1 — this test asserts strict whole-cache LRU order, which
-	// only holds when all jobs share one stripe.
-	m := NewManager(Options{Workers: 1, CacheSize: 2, Shards: 1})
+	m := NewManager(Options{Workers: 1, CacheSize: 2})
 	defer m.Close()
 
 	ids := make([]string, 3)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ftgcs/internal/sim"
 	"ftgcs/internal/spec"
 )
 
@@ -21,14 +22,14 @@ func stressSpec(seed int64) spec.ScenarioSpec {
 	}
 }
 
-// TestShardedLifecycleStress hammers every public lifecycle entry point
-// across the sharded index from many goroutines at once — Submit hitting
-// all shards, Wait/Get/Cancel/Stats racing each other and the workers,
-// then Close racing a late burst of submissions. The test's teeth are
-// the race detector and the absence of deadlock; the assertions pin the
-// error contract (only documented errors escape) and the terminal
-// invariant (nothing left running after Close).
-func TestShardedLifecycleStress(t *testing.T) {
+// TestLifecycleStress hammers every public lifecycle entry point of the
+// job index from many goroutines at once — Submit, Wait/Get/Cancel/Stats
+// racing each other and the workers, then Close racing a late burst of
+// submissions. The test's teeth are the race detector and the absence of
+// deadlock; the assertions pin the error contract (only documented
+// errors escape) and the terminal invariant (nothing left running after
+// Close).
+func TestLifecycleStress(t *testing.T) {
 	m := NewManager(Options{Workers: 2, CacheSize: 24, QueueDepth: 128, SweepWorkers: 1})
 
 	waitErrOK := func(err error) bool {
@@ -145,22 +146,53 @@ func TestPoolDifferentialAcrossJobs(t *testing.T) {
 	}
 }
 
+// cachedHit returns a manager holding one completed job and the prepared
+// request that hits it.
+func cachedHit(tb testing.TB) (*Manager, PreparedRequest) {
+	tb.Helper()
+	m := NewManager(Options{Workers: 1})
+	tb.Cleanup(m.Close)
+	p, err := PrepareRequest(Request{Spec: quickSpec(1)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := m.SubmitPrepared(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	waitDone(tb, m, st.ID)
+	return m, p
+}
+
+// TestSubmitCachedHotAllocs pins the cache-hit path at zero allocations:
+// a pre-hashed resubmission of a cached result plus its encoding into a
+// reused buffer (what BenchmarkSubmitCachedHot times).
+func TestSubmitCachedHotAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m, p := cachedHit(t)
+	buf := make([]byte, 0, 1<<16)
+	allocs := testing.AllocsPerRun(200, func() {
+		hit, err := m.SubmitPrepared(p)
+		if err != nil || hit.Cached != TierMemory {
+			t.Fatalf("cached submit: %+v, %v", hit, err)
+		}
+		if buf, err = hit.AppendJSON(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cached submit + encode allocated %.1f times per hit, want 0", allocs)
+	}
+}
+
 // BenchmarkSubmitCachedHot is the serving fast path end to end at the
 // jobs layer: a pre-hashed resubmission of a cached result plus its
 // zero-copy encoding into a reused buffer. This is what a hot GET/POST
 // of a completed experiment costs before HTTP framing.
 func BenchmarkSubmitCachedHot(b *testing.B) {
-	m := NewManager(Options{Workers: 1})
-	defer m.Close()
-	p, err := PrepareRequest(Request{Spec: quickSpec(1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := m.SubmitPrepared(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	waitDone(b, m, st.ID)
+	m, p := cachedHit(b)
 	buf := make([]byte, 0, 1<<16)
 	b.ReportAllocs()
 	b.ResetTimer()

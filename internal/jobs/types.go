@@ -268,9 +268,8 @@ type Stats struct {
 // PreparedRequest is a request whose identity has already been derived:
 // normalized, content-hashed, display-named. Preparing is the pure (and
 // comparatively expensive) prefix of Submit — canonical encoding plus
-// two SHA-256 passes — so callers that see the same request bytes
-// repeatedly (the HTTP server's submit memo) prepare once and submit
-// the prepared value on every hit.
+// two SHA-256 passes — so a caller that submits the same request
+// repeatedly can prepare once and submit the prepared value each time.
 type PreparedRequest struct {
 	req      Request // normalized
 	id       string
@@ -310,7 +309,7 @@ type TraceInfo struct {
 	Spans    []telemetry.Span `json:"spans"`
 }
 
-// snapshotLocked builds an external view; callers hold the job's shard
+// snapshotLocked builds an external view; callers hold the manager's index
 // mutex (or exclusively own a not-yet-indexed job).
 func snapshotLocked(j *job, tier CacheTier) JobStatus {
 	st := JobStatus{ID: j.id, SpecHash: j.specHash, State: j.state, Cached: tier, Result: j.result, payload: j.payload}

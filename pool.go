@@ -97,8 +97,8 @@ func (p *SystemPool) acquire(key buildKey, seed int64) *System {
 }
 
 // Release returns an idle system to the pool under sc's build key. A nil
-// system, a system whose backend forbids Reset and a scenario that is not
-// poolable are dropped silently. Past capacity the oldest entry is
+// system and a scenario that is not poolable (a custom backend never is)
+// are dropped silently. Past capacity the oldest entry is
 // evicted.
 func (p *SystemPool) Release(sc *Scenario, sys *System) {
 	if sc == nil {
@@ -109,7 +109,7 @@ func (p *SystemPool) Release(sc *Scenario, sys *System) {
 
 // release is Release on an already-derived key.
 func (p *SystemPool) release(key buildKey, sys *System) {
-	if p == nil || !key.poolable || sys == nil || !sys.CanReset() {
+	if p == nil || !key.poolable || sys == nil {
 		return
 	}
 	p.mu.Lock()

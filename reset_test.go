@@ -129,9 +129,6 @@ func TestSystemResetMatchesFreshBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := sc.Horizon(sys.Params())
-			if !sys.CanReset() {
-				t.Fatal("core-backed system must be resettable")
-			}
 			if err := sys.Run(h); err != nil {
 				t.Fatal(err)
 			}
@@ -244,8 +241,7 @@ func TestSystemResetAfterCanceledRun(t *testing.T) {
 }
 
 // TestBackendResetCapability pins the capability split: core-backed
-// systems reset, custom backends without the method report
-// ErrNotResettable and CanReset false.
+// systems reset, custom backends report ErrNotResettable.
 func TestBackendResetCapability(t *testing.T) {
 	sys, err := NewScenario(
 		WithTopology(Line(3)),
@@ -254,8 +250,8 @@ func TestBackendResetCapability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.CanReset() {
-		t.Fatal("core backend: CanReset = false")
+	if err := sys.Reset(1); err != nil {
+		t.Fatalf("core backend Reset: %v", err)
 	}
 
 	stub := NewScenario(
@@ -266,9 +262,6 @@ func TestBackendResetCapability(t *testing.T) {
 	ssys, err := stub.Build()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ssys.CanReset() {
-		t.Fatal("stub backend: CanReset = true")
 	}
 	if err := ssys.Reset(1); err != ErrNotResettable {
 		t.Fatalf("stub backend Reset err = %v, want ErrNotResettable", err)

@@ -21,15 +21,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Only micro-bench snapshots qualify as a baseline: the BENCH_* series
-# also carries load-harness reports (schema ftgcs-load-v1) that have no
-# per-benchmark rows to gate against. Snapshots recorded from a dirty
-# tree (git_rev "…-dirty") measured uncommitted code, so they are only
-# used when no clean snapshot exists at all.
+# Snapshots recorded from a dirty tree (git_rev "…-dirty") measured
+# uncommitted code, so they are only used when no clean snapshot exists
+# at all.
 latest_committed() {
     local f latest="" latest_clean=""
     while read -r f; do
-        grep -q '"schema": "ftgcs-bench-v1"' "$f" || continue
         latest="$f"
         grep -q '"git_rev": ".*-dirty"' "$f" || latest_clean="$f"
     done < <(git ls-files 'BENCH_*.json' | sort -t_ -k2 -n)
