@@ -35,6 +35,7 @@ type node struct {
 	obsOrder   []graph.ClusterID
 	estScratch []float64             // decideMode estimate buffer, reused per round
 	maxEst     *globalskew.Estimator // nil unless global-skew machinery enabled
+	route      transport.Handler     // pulse routing closure; nil for strategy-driven nodes
 
 	gcsStats gcs.Stats
 	faulty   bool
@@ -205,9 +206,7 @@ func (s *System) buildNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) er
 		if err != nil {
 			return err
 		}
-		if handler != nil {
-			s.net.OnPulse(v, handler)
-		}
+		s.net.OnPulse(v, handler)
 		return nil
 	}
 	if isFaulty && fault.CrashAt > 0 {
@@ -308,8 +307,8 @@ func (s *System) buildNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) er
 		n.maxEst = est
 	}
 
-	// Pulse routing.
-	s.net.OnPulse(v, func(at float64, pu transport.Pulse) {
+	// Pulse routing, kept on the node so Reset can re-register it.
+	n.route = func(at float64, pu transport.Pulse) {
 		switch pu.Kind {
 		case transport.PulseMax:
 			if n.maxEst != nil {
@@ -323,7 +322,8 @@ func (s *System) buildNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) er
 				n.observers[i].HandlePulse(at, pu.From)
 			}
 		}
-	})
+	}
+	s.net.OnPulse(v, n.route)
 	return nil
 }
 
@@ -465,10 +465,12 @@ func (s *System) Start() error {
 // Reset(seed) produces output byte-identical to a fresh NewSystem with
 // Seed=seed: the engine's sequence counter restarts at 0 and Byzantine
 // strategies are re-installed in build order with freshly derived RNG
-// streams, so the (time, seq) event stream replays exactly. Stateful
-// per-node models (drift rate schedules, the delay model) are rebuilt from
-// the new seed's streams; the structural wiring (instances, observers,
-// routing closures) is retained.
+// streams, so the (time, seq) event stream replays exactly. Pulse handlers
+// are re-registered in that order too: a pulse is scheduled only for a
+// receiver that has one when it is sent, and a strategy may send from
+// inside Install. Stateful per-node models (drift rate schedules, the delay
+// model) are rebuilt from the new seed's streams; the structural wiring
+// (instances, observers, routing closures) is retained.
 //
 // Reset must not be called while Run/RunContext is in flight. On error
 // (a Byzantine strategy failed to re-install) the system is left
@@ -516,10 +518,10 @@ func (s *System) Reset(seed int64) error {
 			if err != nil {
 				return err
 			}
-			// Unconditional: a nil handler clears the previous install's.
 			s.net.OnPulse(graph.NodeID(v), handler)
 			continue
 		}
+		s.net.OnPulse(graph.NodeID(v), n.route)
 		n.inst.Reset()
 		for i, obs := range n.observers {
 			n.obsClocks[i].Reset()

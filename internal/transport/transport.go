@@ -153,6 +153,7 @@ func (m FuncDelay) Bounds() (float64, float64) { return m.D, m.U }
 type Stats struct {
 	Broadcasts uint64
 	Sends      uint64 // individual point-to-point deliveries scheduled
+	Unheard    uint64 // sends not scheduled: the receiver had no handler at send time
 	Loopbacks  uint64
 	Delivered  uint64
 }
@@ -188,17 +189,20 @@ func NewNetwork(eng *sim.Engine, g *graph.Graph, delays DelayModel) *Network {
 
 // Reset clears the transport counters and swaps in a freshly built delay
 // model for a new run (stateful models carry RNG streams that must be
-// re-derived from the new seed). Registered handlers survive: the per-node
-// routing closures reference node state that persists across a system
-// reset. The cached bounds are re-read from the new model.
+// re-derived from the new seed). Every handler is cleared: a send is
+// scheduled only for a receiver registered at that instant, so the caller
+// re-registers handlers in the order it first did and a send made mid-rewind
+// meets the handlers it met mid-build. The cached bounds are re-read.
 func (n *Network) Reset(delays DelayModel) {
 	n.delays = delays
 	n.d, n.u = delays.Bounds()
 	n.stats = Stats{}
+	clear(n.handlers)
 }
 
 // OnPulse registers the pulse handler of node v (overwriting any previous
-// one).
+// one). A pulse sent to a node without a handler is never scheduled
+// (Stats.Unheard), so a handler installed mid-run hears only later pulses.
 func (n *Network) OnPulse(v graph.NodeID, h Handler) {
 	n.handlers[v] = h
 }
@@ -245,8 +249,16 @@ func loopbackFnEvent(e *sim.Engine, d sim.Data) {
 	d.Ctx.(func(at float64))(e.Now())
 }
 
-// scheduleDelivery enqueues one pooled point-to-point delivery.
+// scheduleDelivery enqueues one pooled point-to-point delivery, unless the
+// receiver has no handler (a Byzantine node that ignores its inbox): the
+// event would be pushed, sifted and popped for nothing. The caller has
+// sampled the delay regardless — models may draw from one shared stream,
+// and later delays must not depend on who listens.
 func (n *Network) scheduleDelivery(t, delay float64, from, to graph.NodeID, kind Kind) error {
+	if n.handlers[to] == nil {
+		n.stats.Unheard++
+		return nil
+	}
 	n.stats.Sends++
 	_, err := n.eng.ScheduleData(t+delay, "pulse", deliverEvent, sim.Data{
 		Ctx: n, I0: int64(from), I1: int64(to), I2: int64(kind),
@@ -261,6 +273,7 @@ func (n *Network) scheduleDelivery(t, delay float64, from, to graph.NodeID, kind
 // A broadcast is atomic with respect to delay-model failures: every
 // neighbor's delay is sampled and validated before any delivery is
 // scheduled, so a misbehaving DelayModel cannot leave a half-sent pulse.
+// Neighbors without a handler are sampled like the rest and then skipped.
 func (n *Network) Broadcast(t float64, from graph.NodeID, kind Kind) error {
 	n.stats.Broadcasts++
 	nbrs := n.g.Neighbors(from)
@@ -286,6 +299,7 @@ func (n *Network) Broadcast(t float64, from graph.NodeID, kind Kind) error {
 // SendTo schedules a single point-to-point pulse delivery. Correct nodes
 // never call this directly; it exists for the Byzantine adversary, which is
 // "not required to communicate by broadcast" (paper, Section 2, Faults).
+// A pulse to a node without a handler is sampled, counted and dropped.
 func (n *Network) SendTo(t float64, from, to graph.NodeID, kind Kind) error {
 	if !n.g.HasEdge(from, to) {
 		return fmt.Errorf("transport: no edge %d→%d", from, to)

@@ -138,15 +138,95 @@ func TestUnhandledPulseIgnored(t *testing.T) {
 	eng := sim.NewEngine()
 	g := graph.Line(2)
 	net := NewNetwork(eng, g, FixedDelay{D: 1, U: 0})
-	// No handler registered for node 1; must not panic.
+	// No handler registered for node 1: the send succeeds and schedules
+	// nothing.
 	if err := net.SendTo(0, 0, 1, PulseClock); err != nil {
 		t.Fatal(err)
+	}
+	if got := eng.Pending(); got != 0 {
+		t.Errorf("send to a handler-less node left %d heap entries, want 0", got)
 	}
 	if err := eng.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if net.Stats().Delivered != 0 {
-		t.Error("delivery to handler-less node should not count")
+	if st := net.Stats(); st.Sends != 0 || st.Unheard != 1 || st.Delivered != 0 {
+		t.Errorf("stats = %+v, want 0 sends, 1 unheard, 0 delivered", st)
+	}
+}
+
+// TestBroadcastSkipsHandlerlessNeighbor pins both halves of the send-time
+// rule: a neighbor without a handler gets no heap entry, and its delay is
+// still drawn, so the neighbors sampled after it receive the very delays
+// they receive when everybody listens (UniformDelay is one shared stream).
+func TestBroadcastSkipsHandlerlessNeighbor(t *testing.T) {
+	const deaf = 2
+	arrivals := func(skip bool) (map[graph.NodeID]float64, Stats, int) {
+		eng := sim.NewEngine()
+		g := graph.Clique(5)
+		net := NewNetwork(eng, g, UniformDelay{D: 1e-3, U: 4e-4, Rng: sim.NewRNG(7, 0)})
+		at := make(map[graph.NodeID]float64)
+		for v := 1; v < 5; v++ {
+			v := v
+			if skip && v == deaf {
+				continue
+			}
+			net.OnPulse(v, func(t float64, p Pulse) { at[v] = t })
+		}
+		if err := net.Broadcast(0, 0, PulseMax); err != nil {
+			t.Fatal(err)
+		}
+		pending := eng.Pending()
+		if err := eng.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		return at, net.Stats(), pending
+	}
+	all, allStats, allPending := arrivals(false)
+	some, someStats, somePending := arrivals(true)
+	if allPending != 4 || somePending != 3 {
+		t.Errorf("pending after broadcast = %d / %d, want 4 / 3", allPending, somePending)
+	}
+	if _, heard := some[deaf]; heard {
+		t.Error("the handler-less neighbor heard the pulse")
+	}
+	for v, want := range all {
+		if got, ok := some[v]; v != deaf && (!ok || got != want) {
+			t.Errorf("node %d: arrival %v with a deaf neighbor, %v without", v, got, want)
+		}
+	}
+	if allStats.Sends != 4 || allStats.Unheard != 0 || allStats.Delivered != 4 {
+		t.Errorf("all-handlers stats = %+v", allStats)
+	}
+	if someStats.Sends != 3 || someStats.Unheard != 1 || someStats.Delivered != 3 {
+		t.Errorf("one-deaf stats = %+v", someStats)
+	}
+}
+
+// TestHandlerInstalledMidRun: whether a pulse is scheduled is decided when
+// it is sent, so a handler registered later hears only later pulses.
+func TestHandlerInstalledMidRun(t *testing.T) {
+	eng := sim.NewEngine()
+	g := graph.Line(2)
+	net := NewNetwork(eng, g, FixedDelay{D: 1, U: 0})
+	send := func(e *sim.Engine) {
+		if err := net.SendTo(e.Now(), 0, 1, PulseClock); err != nil {
+			t.Error(err)
+		}
+	}
+	var heard []float64
+	eng.MustSchedule(0, "send", send) // in flight when the handler arrives
+	eng.MustSchedule(0.5, "install", func(*sim.Engine) {
+		net.OnPulse(1, func(at float64, p Pulse) { heard = append(heard, at) })
+	})
+	eng.MustSchedule(2, "send", send)
+	if err := eng.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if len(heard) != 1 || heard[0] != 3 {
+		t.Errorf("heard at %v, want only the pulse sent at t=2 (arriving at 3)", heard)
+	}
+	if st := net.Stats(); st.Sends != 1 || st.Unheard != 1 || st.Delivered != 1 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
