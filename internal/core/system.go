@@ -280,9 +280,10 @@ func (s *System) buildNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) er
 
 	// Global-skew estimator.
 	if cfg.EnableGlobalSkew {
-		groups := map[graph.ClusterID][]graph.NodeID{c: s.aug.Members(c)}
-		for _, b := range s.aug.NeighborClusters(c) {
-			groups[b] = s.aug.Members(b)
+		groups := make([][]graph.NodeID, 0, 1+len(n.obsOrder))
+		groups = append(groups, s.aug.Members(c))
+		for _, b := range n.obsOrder {
+			groups = append(groups, s.aug.Members(b))
 		}
 		est, err := globalskew.New(s.eng, globalskew.Config{
 			Unit:   p.Delay - p.Uncertainty,
@@ -655,6 +656,15 @@ func (s *System) InstanceStats(v graph.NodeID) cluster.Stats {
 		return cluster.Stats{}
 	}
 	return s.nodes[v].inst.Stats()
+}
+
+// MaxEstStats returns node v's Appendix C estimator statistics (zero value
+// when the global-skew machinery is off or v is strategy-driven).
+func (s *System) MaxEstStats(v graph.NodeID) globalskew.Stats {
+	if s.nodes[v].maxEst == nil {
+		return globalskew.Stats{}
+	}
+	return s.nodes[v].maxEst.Stats()
 }
 
 // PulseDiameters returns ‖p(r)‖ for cluster c indexed by round, for rounds

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftgcs/internal/byzantine"
+	"ftgcs/internal/globalskew"
 	"ftgcs/internal/graph"
 )
 
@@ -207,5 +208,45 @@ func TestGCSStatsAccumulate(t *testing.T) {
 	}
 	if ser.Max() > 1 || ser.Min() < 0 {
 		t.Errorf("fast fraction out of [0,1]: [%v, %v]", ser.Min(), ser.Max())
+	}
+}
+
+// TestMaxEstStatsSurfaced reads the Appendix C estimator's counters through
+// the system: on a two-faced run every correct node hears max pulses, none
+// of them from a sender outside its groups (core wires exactly the adjacent
+// clusters, and the transport delivers over exactly those edges), and a
+// Reset zeroes them.
+func TestMaxEstStatsSurfaced(t *testing.T) {
+	p := testParams(t)
+	sys, err := NewSystem(Config{
+		Base: graph.Line(4), K: 4, F: 1, Params: p, Seed: 23,
+		Faults:           []FaultSpec{{Node: 5, Strategy: byzantine.TwoFaced{}}},
+		EnableGlobalSkew: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(10 * p.T); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < sys.Aug().Net.N(); v++ {
+		st := sys.MaxEstStats(v)
+		if sys.Faulty(v) {
+			if st != (globalskew.Stats{}) {
+				t.Errorf("strategy-driven node %d reports estimator stats %+v", v, st)
+			}
+			continue
+		}
+		if st.Ignored != 0 || st.PulsesHeard == 0 || st.PulsesSent == 0 {
+			t.Errorf("node %d: %+v, want pulses heard and sent, none ignored", v, st)
+		}
+	}
+	if err := sys.Reset(23); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < sys.Aug().Net.N(); v++ {
+		if st := sys.MaxEstStats(v); st != (globalskew.Stats{}) {
+			t.Errorf("node %d after Reset: %+v, want zero", v, st)
+		}
 	}
 }

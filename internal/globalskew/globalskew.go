@@ -24,6 +24,7 @@ package globalskew
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ftgcs/internal/clockwork"
 	"ftgcs/internal/graph"
@@ -38,10 +39,10 @@ type Config struct {
 	Rho float64
 	// F is the per-cluster fault budget.
 	F int
-	// Groups maps each adjacent cluster (including the node's own) to its
-	// member node IDs. Level confirmation requires f+1 distinct senders
-	// within one group.
-	Groups map[graph.ClusterID][]graph.NodeID
+	// Groups lists the member node IDs of each adjacent cluster (including
+	// the node's own); a sender belongs to exactly one. Level confirmation
+	// requires f+1 distinct senders within one group.
+	Groups [][]graph.NodeID
 	// HW is the node's hardware clock.
 	HW *clockwork.HardwareClock
 	// Send broadcasts `copies` max pulses at time t.
@@ -53,17 +54,39 @@ type Estimator struct {
 	cfg Config
 	eng *sim.Engine
 
-	anchorT float64 // Newtonian anchor
 	anchorH float64 // hardware value at anchor
 	anchorM float64 // M value at anchor
 
 	sentLevel  int // highest level for which a pulse was sent
-	groupOf    map[graph.NodeID]graph.ClusterID
-	counts     map[graph.NodeID]int // max pulses received per sender
 	levelTimer sim.Handle
-	lvlScratch []int // confirmedLevel selection buffer, reused per pulse
+
+	// Reception state is dense, O(members) per estimator: senders is laid
+	// out group by group, and slots is an open-addressed NodeID → sender
+	// table (linear probing from id&mask, under half full), so IDs need not
+	// be contiguous — and when they are, no probe collides.
+	slots   []int32 // index into senders + 1; 0 = empty
+	senders []sender
+	groups  []group
 
 	stats Stats
+}
+
+// sender is one known sender's reception state.
+type sender struct {
+	id    graph.NodeID
+	count int // max pulses received
+	group int // index into groups
+}
+
+// group tracks one adjacent cluster's confirmed level: the largest ℓ such
+// that at least f+1 members have delivered ≥ ℓ pulses, i.e. the (f+1)-th
+// largest count. Counts only grow, by one, so a pulse moves it only when
+// its sender's count was exactly confirmed, and then by one. With fewer
+// than f+1 members, above never passes f and confirmed stays 0.
+type group struct {
+	lo, hi    int // members are senders[lo:hi]
+	confirmed int
+	above     int // members with count > confirmed; ≤ f between pulses
 }
 
 // Stats counts estimator activity.
@@ -86,37 +109,63 @@ func New(eng *sim.Engine, cfg Config) (*Estimator, error) {
 	if cfg.Send == nil {
 		return nil, fmt.Errorf("globalskew: nil send")
 	}
-	groupOf := make(map[graph.NodeID]graph.ClusterID)
-	for c, members := range cfg.Groups {
-		for _, m := range members {
-			groupOf[m] = c
-		}
+	n := 0
+	for _, members := range cfg.Groups {
+		n += len(members)
 	}
-	return &Estimator{
+	e := &Estimator{
 		cfg:     cfg,
 		eng:     eng,
-		groupOf: groupOf,
-		counts:  make(map[graph.NodeID]int),
-	}, nil
+		slots:   make([]int32, 2<<bits.Len(uint(n))), // a power of two > 2n
+		senders: make([]sender, 0, n),
+		groups:  make([]group, 0, len(cfg.Groups)),
+	}
+	for gi, members := range cfg.Groups {
+		lo := len(e.senders)
+		for _, m := range members {
+			h := e.slot(m)
+			if e.slots[h] != 0 {
+				return nil, fmt.Errorf("globalskew: sender %d listed twice", m)
+			}
+			e.senders = append(e.senders, sender{id: m, group: gi})
+			e.slots[h] = int32(len(e.senders))
+		}
+		e.groups = append(e.groups, group{lo: lo, hi: len(e.senders)})
+	}
+	return e, nil
 }
 
-// Reset rewinds the estimator to its unstarted state, keeping the group
-// tables and scratch allocated (clear on the counts map retains its
-// buckets). The level timer handle is dropped to the zero Handle — the
-// engine reset that accompanies a system reset has already discarded the
-// event, and a zero Handle behaves as canceled.
+// slot returns the position in slots that holds id, or the empty one where
+// the probe for it ends.
+func (e *Estimator) slot(id graph.NodeID) int {
+	mask := len(e.slots) - 1
+	h := id & mask
+	for i := e.slots[h]; i != 0 && e.senders[i-1].id != id; i = e.slots[h] {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+// Reset rewinds the estimator to its unstarted state, keeping the sender
+// tables allocated. The level timer handle is dropped to the zero Handle —
+// the engine reset that accompanies a system reset has already discarded
+// the event, and a zero Handle behaves as canceled.
 func (e *Estimator) Reset() {
-	e.anchorT, e.anchorH, e.anchorM = 0, 0, 0
+	e.anchorH, e.anchorM = 0, 0
 	e.sentLevel = 0
-	clear(e.counts)
+	for i := range e.senders {
+		e.senders[i].count = 0
+	}
+	for i := range e.groups {
+		e.groups[i].confirmed, e.groups[i].above = 0, 0
+	}
 	e.levelTimer = sim.Handle{}
 	e.stats = Stats{}
 }
 
 // Start begins local growth at the engine's current time.
 func (e *Estimator) Start() error {
-	e.anchorT = e.eng.Now()
-	e.anchorH = e.cfg.HW.Read(e.anchorT)
+	e.anchorH = e.cfg.HW.Read(e.eng.Now())
 	e.anchorM = 0
 	return e.scheduleNextLevel()
 }
@@ -172,7 +221,6 @@ func (e *Estimator) RaiseTo(t, ownLogical float64) {
 	if ownLogical <= e.Value(t) {
 		return
 	}
-	e.anchorT = t
 	e.anchorH = e.cfg.HW.Read(t)
 	e.anchorM = ownLogical
 	if newLevel := int(ownLogical / e.cfg.Unit); newLevel > e.sentLevel {
@@ -189,21 +237,29 @@ func (e *Estimator) RaiseTo(t, ownLogical float64) {
 
 // HandleMaxPulse processes a received max pulse.
 func (e *Estimator) HandleMaxPulse(t float64, from graph.NodeID) {
-	group, ok := e.groupOf[from]
-	if !ok {
+	i := e.slots[e.slot(from)]
+	if i == 0 {
 		e.stats.Ignored++
 		return
 	}
 	e.stats.PulsesHeard++
-	e.counts[from]++
-
-	// Confirmed level for the sender's group: the (f+1)-th largest pulse
-	// count among its members.
-	members := e.cfg.Groups[group]
-	if cap(e.lvlScratch) < len(members) {
-		e.lvlScratch = make([]int, len(members))
+	snd := &e.senders[i-1]
+	g := &e.groups[snd.group]
+	snd.count++
+	if snd.count == g.confirmed+1 {
+		// The sender just rose above the confirmed level; the f+1-th member
+		// to do so confirms the next one.
+		if g.above++; g.above > e.cfg.F {
+			g.confirmed++
+			g.above = 0
+			for _, m := range e.senders[g.lo:g.hi] {
+				if m.count > g.confirmed {
+					g.above++
+				}
+			}
+		}
 	}
-	confirmed := confirmedLevel(members, e.counts, e.cfg.F, e.lvlScratch[:0])
+	confirmed := g.confirmed
 	if confirmed == 0 {
 		return
 	}
@@ -212,7 +268,6 @@ func (e *Estimator) HandleMaxPulse(t float64, from graph.NodeID) {
 		return
 	}
 	// Adopt the certified value: jump M up to target.
-	e.anchorT = t
 	e.anchorH = e.cfg.HW.Read(t)
 	e.anchorM = target
 	e.stats.AdoptedLevels++
@@ -228,28 +283,6 @@ func (e *Estimator) HandleMaxPulse(t float64, from graph.NodeID) {
 	if err := e.scheduleNextLevel(); err != nil {
 		panic(err)
 	}
-}
-
-// confirmedLevel returns the largest ℓ such that at least f+1 members have
-// delivered ≥ ℓ pulses (0 when fewer than f+1 members have sent anything).
-// scratch is an empty slice with sufficient capacity; the caller owns it.
-func confirmedLevel(members []graph.NodeID, counts map[graph.NodeID]int, f int, scratch []int) int {
-	if len(members) < f+1 {
-		return 0
-	}
-	// Collect counts and find the (f+1)-th largest.
-	best := scratch
-	for _, m := range members {
-		best = append(best, counts[m])
-	}
-	// Partial selection: we need the (f+1)-th largest value.
-	// Simple approach given small k: sort descending by insertion.
-	for i := 1; i < len(best); i++ {
-		for j := i; j > 0 && best[j] > best[j-1]; j-- {
-			best[j], best[j-1] = best[j-1], best[j]
-		}
-	}
-	return best[f]
 }
 
 // Gap returns M_v(t) − L for a logical clock value L; positive values mean

@@ -2,6 +2,7 @@ package globalskew
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ftgcs/internal/clockwork"
@@ -9,8 +10,8 @@ import (
 	"ftgcs/internal/sim"
 )
 
-func singleGroup(members ...graph.NodeID) map[graph.ClusterID][]graph.NodeID {
-	return map[graph.ClusterID][]graph.NodeID{0: members}
+func singleGroup(members ...graph.NodeID) [][]graph.NodeID {
+	return [][]graph.NodeID{members}
 }
 
 func TestLocalGrowthRate(t *testing.T) {
@@ -153,6 +154,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// confirmedLevel is the order statistic as the estimator computed it on
+// every pulse before it became incremental, moved here unchanged as the
+// oracle: the largest ℓ such that at least f+1 members have delivered ≥ ℓ
+// pulses (0 when fewer than f+1 members have sent anything). scratch is an
+// empty slice with sufficient capacity, or nil.
+func confirmedLevel(members []graph.NodeID, counts map[graph.NodeID]int, f int, scratch []int) int {
+	if len(members) < f+1 {
+		return 0
+	}
+	// Collect counts and find the (f+1)-th largest.
+	best := scratch
+	for _, m := range members {
+		best = append(best, counts[m])
+	}
+	// Partial selection: we need the (f+1)-th largest value.
+	// Simple approach given small k: sort descending by insertion.
+	for i := 1; i < len(best); i++ {
+		for j := i; j > 0 && best[j] > best[j-1]; j-- {
+			best[j], best[j-1] = best[j-1], best[j]
+		}
+	}
+	return best[f]
+}
+
 func TestConfirmedLevel(t *testing.T) {
 	counts := map[graph.NodeID]int{1: 5, 2: 3, 3: 0, 4: 7}
 	members := []graph.NodeID{1, 2, 3, 4}
@@ -175,12 +200,133 @@ func TestConfirmedLevel(t *testing.T) {
 	}
 }
 
+// TestIncrementalConfirmedMatchesOracle drives random pulse sequences
+// through estimators of every small shape — k ∈ 1..7 members per group,
+// f ∈ 0..2 (so groups smaller than f+1 occur), two groups with scattered
+// non-contiguous IDs, unknown senders mixed in, a Reset in the middle —
+// and after every pulse compares each group's incrementally maintained
+// confirmed level with the sort-based oracle over shadow counts. The unit
+// is huge and the clock still, so no adoption ever moves M: only the
+// order statistic is under test.
+func TestIncrementalConfirmedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for k := 1; k <= 7; k++ {
+		for f := 0; f <= 2; f++ {
+			// IDs are spread out and interleaved between the groups.
+			groups := make([][]graph.NodeID, 2)
+			for i := 0; i < k; i++ {
+				groups[0] = append(groups[0], graph.NodeID(1000-37*i))
+				groups[1] = append(groups[1], graph.NodeID(5+74*i))
+			}
+			eng := sim.NewEngine()
+			e, err := New(eng, Config{
+				Unit: 1e12, Rho: 1e-3, F: f, Groups: groups,
+				HW:   clockwork.NewHardwareClock(clockwork.Constant{Rate: 1}),
+				Send: func(float64, int) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			shadow := make(map[graph.NodeID]int)
+			check := func(step int) {
+				t.Helper()
+				for gi, members := range groups {
+					want := confirmedLevel(members, shadow, f, nil)
+					if got := e.groups[gi].confirmed; got != want {
+						t.Fatalf("k=%d f=%d step %d group %d: confirmed %d, oracle %d (counts %v)",
+							k, f, step, gi, got, want, shadow)
+					}
+					if e.groups[gi].above > f {
+						t.Fatalf("k=%d f=%d step %d group %d: above = %d > f", k, f, step, gi, e.groups[gi].above)
+					}
+				}
+			}
+			var heard, ignored uint64
+			for step := 0; step < 600; step++ {
+				if step == 300 {
+					e.Reset()
+					clear(shadow)
+					heard, ignored = 0, 0
+					check(step)
+				}
+				// Skewed sender choice: a few members run far ahead, as a
+				// Byzantine spammer would, the rest trail.
+				g := rng.Intn(2)
+				from := groups[g][int(float64(k)*math.Pow(rng.Float64(), 2))]
+				if rng.Intn(10) == 0 {
+					from = graph.NodeID(2000 + rng.Intn(50)) // in no group
+					ignored++
+				} else {
+					shadow[from]++
+					heard++
+				}
+				e.HandleMaxPulse(0, from)
+				check(step)
+			}
+			if st := e.Stats(); st.PulsesHeard != heard || st.Ignored != ignored {
+				t.Errorf("k=%d f=%d: stats %+v, want %d heard, %d ignored", k, f, st, heard, ignored)
+			}
+		}
+	}
+}
+
+// TestHandleMaxPulseZeroAllocs pins the flood's hot path: a max pulse
+// allocates nothing, whether it only counts, confirms a level, or adopts
+// one and re-arms the level timer.
+func TestHandleMaxPulseZeroAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	eng := sim.NewEngine()
+	e, err := New(eng, Config{
+		Unit: 1, Rho: 1e-3, F: 1, Groups: [][]graph.NodeID{{1, 2, 3, 4}, {11, 12, 13, 14}},
+		HW:   clockwork.NewHardwareClock(clockwork.Constant{Rate: 1}),
+		Send: func(float64, int) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	pulse := func() {
+		e.HandleMaxPulse(0, graph.NodeID(1+i%4))
+		e.HandleMaxPulse(0, graph.NodeID(11+i%4))
+		i++
+	}
+	for j := 0; j < 8; j++ {
+		pulse() // warm the engine's event pool
+	}
+	if avg := testing.AllocsPerRun(200, pulse); avg != 0 {
+		t.Errorf("HandleMaxPulse allocates %.2f per call pair, want 0", avg)
+	}
+	if e.Stats().AdoptedLevels == 0 {
+		t.Fatal("the pinned path never adopted a level")
+	}
+}
+
+// TestDuplicateSenderRejected: a sender confirms levels for one group only.
+func TestDuplicateSenderRejected(t *testing.T) {
+	_, err := New(sim.NewEngine(), Config{
+		Unit: 1, Rho: 1e-3, F: 0, Groups: [][]graph.NodeID{{1, 2}, {2, 3}},
+		HW:   clockwork.NewHardwareClock(clockwork.Constant{Rate: 1}),
+		Send: func(float64, int) {},
+	})
+	if err == nil {
+		t.Error("a sender listed in two groups was accepted")
+	}
+}
+
 func TestFloodingChain(t *testing.T) {
 	// Three estimators in a chain of clusters; a level wave injected at
 	// node 0's group propagates: estimator B adopts from group A, and its
 	// re-emitted pulses let estimator C adopt from group B.
 	eng := sim.NewEngine()
-	mk := func(groups map[graph.ClusterID][]graph.NodeID, send func(float64, int)) *Estimator {
+	mk := func(groups [][]graph.NodeID, send func(float64, int)) *Estimator {
 		hw := clockwork.NewHardwareClock(clockwork.Constant{Rate: 1})
 		e, err := New(eng, Config{Unit: 1, Rho: 1e-3, F: 1, Groups: groups, HW: hw, Send: send})
 		if err != nil {
@@ -194,7 +340,7 @@ func TestFloodingChain(t *testing.T) {
 	// Group 0 = {1,2,3,4} feeds B; group 1 = {11,12,13,14} feeds C.
 	var c *Estimator
 	relayDelay := 0.001
-	b := mk(map[graph.ClusterID][]graph.NodeID{0: {1, 2, 3, 4}}, func(tt float64, copies int) {
+	b := mk([][]graph.NodeID{{1, 2, 3, 4}}, func(tt float64, copies int) {
 		// B's own pulses reach C attributed to B's ID (11) and a
 		// corroborating group member (12) — modeling f+1 correct members
 		// of B's cluster raising their estimates near-simultaneously.
@@ -205,7 +351,7 @@ func TestFloodingChain(t *testing.T) {
 			})
 		}
 	})
-	c = mk(map[graph.ClusterID][]graph.NodeID{1: {11, 12, 13, 14}}, func(float64, int) {})
+	c = mk([][]graph.NodeID{{11, 12, 13, 14}}, func(float64, int) {})
 
 	// Two members of group 0 claim level 4.
 	eng.MustSchedule(0.01, "inject", func(e2 *sim.Engine) {
