@@ -16,6 +16,18 @@ import (
 // MaxReplicate bounds the replication fan-out of a single request.
 const MaxReplicate = 4096
 
+// resultEpoch is the generation of result bytes this binary computes, and
+// part of every job ID. The ID is the disk tier's only key, yet a Result
+// holds more than the spec fixes on paper (Report.Events is the simulator's
+// own event count), so a release that changes any byte of any result bumps
+// it: objects stored under an older epoch then miss instead of being served
+// as bytes a fresh computation no longer produces. TestResultEpochPin fails
+// when the bytes move and the epoch does not.
+//
+//	1  through PR 20 (IDs carried no epoch)
+//	2  handlerless receivers are never scheduled: Events fell
+const resultEpoch = 2
+
 // Request is one unit of submittable work: a spec, optionally fanned out
 // across consecutive seeds.
 type Request struct {
@@ -44,7 +56,8 @@ func (r Request) normalized() Request {
 
 // ID returns the request's content hash — the job ID. Requests that mean
 // the same work (same canonical spec, same replication, same series
-// flag) get the same ID regardless of JSON spelling.
+// flag) get the same ID regardless of JSON spelling, for as long as the
+// binary computes the same result bytes for it (resultEpoch).
 func (r Request) ID() (string, error) {
 	id, _, err := r.normalized().identity()
 	return id, err
@@ -60,7 +73,7 @@ func (r Request) identity() (id, specHash string, err error) {
 	sum := sha256.Sum256(c)
 	h := sha256.New()
 	h.Write(c)
-	fmt.Fprintf(h, "|replicate=%d|series=%t", r.Replicate, r.IncludeSeries)
+	fmt.Fprintf(h, "|replicate=%d|series=%t|epoch=%d", r.Replicate, r.IncludeSeries, resultEpoch)
 	return "sha256:" + hex.EncodeToString(h.Sum(nil)), "sha256:" + hex.EncodeToString(sum[:]), nil
 }
 
