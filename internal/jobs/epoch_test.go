@@ -43,8 +43,12 @@ func idWithSuffix(t *testing.T, req Request, suffix string) string {
 // under the epoch just before the current one — and runs afresh.
 func TestPreviousEpochObjectIsAMiss(t *testing.T) {
 	req := Request{Spec: epochSpec()}
-	if got, want := idWithSuffix(t, req, fmt.Sprintf("|epoch=%d", resultEpoch)), mustID(t, req); got != want {
-		t.Fatalf("the test's ID formula has drifted from identity(): %s vs %s", got, want)
+	current, err := req.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := idWithSuffix(t, req, fmt.Sprintf("|epoch=%d", resultEpoch)); got != current {
+		t.Fatalf("the test's ID formula has drifted from identity(): %s vs %s", got, current)
 	}
 
 	// A well-formed stored result (this binary's own) under the old IDs.
@@ -83,15 +87,6 @@ func TestPreviousEpochObjectIsAMiss(t *testing.T) {
 	if s := m2.Stats(); s.Runs != 1 || s.DiskHits != 0 {
 		t.Fatalf("want one fresh run and no disk hit: %+v", s)
 	}
-}
-
-func mustID(t *testing.T, req Request) string {
-	t.Helper()
-	id, err := req.ID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
 }
 
 // TestResultEpochPin ties resultEpoch to the bytes it stands for: the

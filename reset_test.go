@@ -79,12 +79,7 @@ func resetMatrix() map[string]*Scenario {
 func dumpSystem(t *testing.T, sys *System) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := sys.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.WriteString(seriesBytes(t, sys))
 	fmt.Fprintf(&buf, "report=%+v\nsummary=%+v\n", sys.Report(), sys.Summary(0.2))
 	for v := 0; v < sys.Nodes(); v++ {
 		times, values, modes := sys.RoundTrace(v)
