@@ -5,14 +5,13 @@ import (
 	"errors"
 	"fmt"
 
-	"ftgcs/internal/core"
 	"ftgcs/internal/metrics"
 	"ftgcs/internal/sim"
 )
 
 // Backend is the minimal simulation surface a Scenario needs to run to a
-// horizon and be measured. It has two implementations: the core FTGCS
-// system (the only Algorithm 1 in the repository) and, through
+// horizon and be measured. It has two implementations: core.System (the
+// only Algorithm 1 in the repository), which satisfies it as is, and, through
 // WithBackend, internal/baseline's TreeSync — the comparison baseline of
 // experiment E9, which thereby runs through the same Sweep machinery, job
 // manager and result pipeline instead of a hand-rolled sequential loop.
@@ -50,16 +49,6 @@ var ErrNotResettable = errors.New("ftgcs: backend does not support reset")
 // time has advanced (Now, seconds). Both fields are monotone within one
 // run.
 type Progress = sim.Progress
-
-// coreBackend adapts the standard core system to the Backend interface
-// (RunContext, Progress, Summarize and Recorder are promoted from
-// core.System).
-type coreBackend struct {
-	*core.System
-}
-
-func (cb coreBackend) Now() float64  { return cb.Engine().Now() }
-func (cb coreBackend) Diameter() int { return cb.Aug().Base.Diameter() }
 
 // Reset rewinds the system to a fresh pre-run state under the new seed,
 // reusing every structure Build allocated. A subsequent Run produces

@@ -420,12 +420,3 @@ func (s *System) Summarize(warmup float64) core.Summary {
 		Events:           s.eng.Processed(),
 	}
 }
-
-// MaxLocalClusterSkew returns the peak cluster-level local skew after
-// warmup.
-func (s *System) MaxLocalClusterSkew(warmup float64) float64 {
-	if ser := s.rec.Series(core.SeriesLocalCluster); ser != nil {
-		return ser.MaxAfter(warmup)
-	}
-	return math.Inf(-1)
-}

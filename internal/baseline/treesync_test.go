@@ -89,7 +89,7 @@ func TestTreeSyncRevealCompressesSkew(t *testing.T) {
 		if err := sys.RunContext(context.Background(), 30*p.T); err != nil {
 			t.Fatal(err)
 		}
-		return sys.MaxLocalClusterSkew(10 * p.T)
+		return sys.Summarize(10 * p.T).MaxLocalCluster
 	}
 	reveal := func(d int) float64 {
 		sys, err := NewSystem(Config{
@@ -103,7 +103,7 @@ func TestTreeSyncRevealCompressesSkew(t *testing.T) {
 		if err := sys.RunContext(context.Background(), 30*p.T); err != nil {
 			t.Fatal(err)
 		}
-		return sys.MaxLocalClusterSkew(10 * p.T)
+		return sys.Summarize(10 * p.T).MaxLocalCluster
 	}
 	d := 8
 	s, r := steady(d), reveal(d)

@@ -25,7 +25,6 @@
 package byzantine
 
 import (
-	"fmt"
 	"math"
 
 	"ftgcs/internal/graph"
@@ -375,8 +374,8 @@ func (s MaxSpam) Install(ctx Ctx) (transport.Handler, error) {
 }
 
 // Aliases returns the historical CLI spellings, alias → canonical
-// strategy name. It is the single source of truth for attack aliases:
-// both ByName and the public ftgcs registry consume it.
+// strategy name. It is the single source of truth for attack aliases: the
+// public ftgcs registry consumes it.
 func Aliases() map[string]string {
 	return map[string]string{
 		"twofaced": "two-faced",
@@ -384,21 +383,6 @@ func Aliases() map[string]string {
 		"cadence":  "cadence-two-faced",
 		"maxspam":  "max-spam",
 	}
-}
-
-// ByName constructs a strategy from a CLI-friendly name (a strategy's
-// self-reported Name or an alias). Offset/amplitude parameters take their
-// defaults.
-func ByName(name string) (Strategy, error) {
-	if canonical, ok := Aliases()[name]; ok {
-		name = canonical
-	}
-	for _, s := range All() {
-		if s.Name() == name {
-			return s, nil
-		}
-	}
-	return nil, fmt.Errorf("byzantine: unknown strategy %q", name)
 }
 
 // All returns one instance of every strategy (defaults), for sweep

@@ -222,23 +222,6 @@ func TestAdaptiveTwoFacedTracksVictims(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	names := []string{"silent", "spam", "two-faced", "twofaced", "adaptive",
-		"adaptive-two-faced", "oscillate", "lie-early", "lie-late", "max-spam", "maxspam"}
-	for _, name := range names {
-		s, err := ByName(name)
-		if err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-		if s == nil || s.Name() == "" {
-			t.Errorf("ByName(%q) returned %v", name, s)
-		}
-	}
-	if _, err := ByName("nonsense"); err == nil {
-		t.Error("unknown name should fail")
-	}
-}
-
 func TestAllHaveDistinctNames(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range All() {

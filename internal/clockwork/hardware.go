@@ -22,10 +22,12 @@ type HardwareClock struct {
 
 // NewHardwareClock returns a hardware clock that reads 0 at time 0.
 func NewHardwareClock(model RateModel) *HardwareClock {
-	return &HardwareClock{model: model}
+	c := &HardwareClock{}
+	c.Reset(model)
+	return c
 }
 
-// Reset rewinds the clock to read 0 at time 0 under a new rate model.
+// Reset makes the clock read 0 at time 0 under the given rate model.
 // Stateful models (RandomWalk caches rates drawn from its RNG) must be
 // rebuilt from a freshly derived stream rather than reused, which is why
 // the model is a parameter instead of being retained.

@@ -30,12 +30,14 @@ type LogicalClock struct {
 // with δ=1 (the Algorithm 1 default outside phase 3 is δ=1; callers that
 // want the "nominal" rate (1+ϕ)·h get exactly that).
 func NewLogicalClock(hw *HardwareClock, phi, mu float64) *LogicalClock {
-	return &LogicalClock{hw: hw, phi: phi, mu: mu, delta: 1}
+	lc := &LogicalClock{hw: hw, phi: phi, mu: mu}
+	lc.Reset()
+	return lc
 }
 
-// Reset rewinds the clock to its newly constructed state: value 0 at time
-// 0, δ=1, γ=0. The shared HardwareClock is reset separately (several
-// logical clocks run off one oscillator).
+// Reset puts the clock in its initial state: value 0 at time 0, δ=1, γ=0.
+// The shared HardwareClock is reset separately (several logical clocks run
+// off one oscillator).
 func (lc *LogicalClock) Reset() {
 	lc.delta, lc.gamma = 1, 0
 	lc.anchorT, lc.anchorL = 0, 0
@@ -141,6 +143,3 @@ func Envelope(phi, mu, rho float64) (lo, hi float64) {
 	hi = (1 + 2*phi/(1-phi)) * (1 + mu) * (1 + rho)
 	return lo, hi
 }
-
-// ErrNonMonotone is reserved for future strict-mode monotonicity checks.
-var ErrNonMonotone = fmt.Errorf("clockwork: non-monotone clock query")

@@ -65,8 +65,6 @@ type Config struct {
 	// OnPulse is invoked when the instance (would) broadcast(s) its round-r
 	// pulse; metrics use it to compute pulse diameters ‖p(r)‖.
 	OnPulse func(r int, t float64)
-	// OnCorrection is invoked with each round's Δ_v(r).
-	OnCorrection func(r int, delta float64)
 }
 
 // phase tracks where the instance is within its round.
@@ -180,8 +178,7 @@ func New(eng *sim.Engine, cfg Config) (*Instance, error) {
 		pending:   buf[n : 2*n : 2*n],
 		offsets:   buf[2*n:],
 	}
-	clearTimes(in.recv)
-	clearTimes(in.pending)
+	in.Reset()
 	return in, nil
 }
 
@@ -218,9 +215,6 @@ func (in *Instance) Start() error {
 
 // Round returns the current round number (1-based; 0 before Start).
 func (in *Instance) Round() int { return in.round }
-
-// RoundStartLogical returns T̄(r), the logical time the current round began.
-func (in *Instance) RoundStartLogical() float64 { return in.roundStartL }
 
 // Clock exposes the instance's logical clock (the estimate L̃ for
 // observers).
@@ -363,9 +357,6 @@ func (in *Instance) compute() {
 	in.stats.AbsCorrectionSum += math.Abs(delta)
 	in.stats.MaxAbsCorrection = math.Max(in.stats.MaxAbsCorrection, math.Abs(delta))
 	in.stats.CorrectionsApplied++
-	if in.cfg.OnCorrection != nil {
-		in.cfg.OnCorrection(in.round, delta)
-	}
 
 	// Algorithm 1, line 13: δ_v = 1 − (1+1/ϕ)·Δ/(τ₃+Δ).
 	dv := 1 - (1+1/p.Phi)*delta/(p.Tau3+delta)

@@ -84,6 +84,7 @@ func newRig(t testing.TB, p params.Params, o rigOpts) *rig {
 		if o.byzantine[i] {
 			continue
 		}
+		deliver := func(at float64) { r.instances[i].HandlePulse(at, i) }
 		inst, err := New(eng, Config{
 			Params: p, F: o.f, Members: members, Self: i, Active: true,
 			Clock: r.clocks[i],
@@ -93,7 +94,7 @@ func newRig(t testing.TB, p params.Params, o rigOpts) *rig {
 				}
 			},
 			Loopback: func(t float64) {
-				if err := net.Loopback(t, i, transport.PulseClock); err != nil {
+				if err := net.LoopbackFunc(t, i, deliver); err != nil {
 					panic(err)
 				}
 			},
@@ -122,11 +123,12 @@ func newRig(t testing.TB, p params.Params, o rigOpts) *rig {
 		r.hw[obs] = clockwork.NewHardwareClock(clockwork.Constant{Rate: 1 + p.Rho/2})
 		r.obsClock = clockwork.NewLogicalClock(r.hw[obs], p.Phi, p.Mu)
 		r.clocks[obs] = r.obsClock
+		deliver := func(at float64) { r.observer.HandlePulse(at, obs) }
 		inst, err := New(eng, Config{
 			Params: p, F: o.f, Members: members, Self: obs, Active: false,
 			Clock: r.obsClock,
 			Loopback: func(t float64) {
-				if err := net.Loopback(t, obs, transport.PulseClock); err != nil {
+				if err := net.LoopbackFunc(t, obs, deliver); err != nil {
 					panic(err)
 				}
 			},

@@ -15,10 +15,8 @@ import (
 	"fmt"
 
 	"ftgcs/internal/byzantine"
-	"ftgcs/internal/clockwork"
 	"ftgcs/internal/graph"
 	"ftgcs/internal/params"
-	"ftgcs/internal/sim"
 )
 
 // FaultSpec marks one physical node faulty.
@@ -91,22 +89,6 @@ type Config struct {
 	StaggerStart float64
 }
 
-// driftModel returns the configured drift model or the default.
-func (c *Config) driftModel() DriftModel {
-	if c.Drift == nil {
-		return SpreadDrift{}
-	}
-	return c.Drift
-}
-
-// delayModel returns the configured delay model or the default.
-func (c *Config) delayModel() DelayModel {
-	if c.Delay == nil {
-		return UniformDelayModel{}
-	}
-	return c.Delay
-}
-
 // validate checks structural requirements.
 func (c *Config) validate() error {
 	if c.Base == nil || c.Base.N() == 0 {
@@ -132,18 +114,4 @@ func (c *Config) validate() error {
 		seen[f.Node] = true
 	}
 	return nil
-}
-
-// buildDrift constructs the rate model for one node via the configured
-// DriftModel.
-func buildDrift(m DriftModel, p params.Params, aug *graph.Augmented, v graph.NodeID, rng *sim.RNG) clockwork.RateModel {
-	return m.Rate(DriftCtx{
-		Node:     v,
-		Cluster:  aug.ClusterOf(v),
-		Index:    aug.IndexIn(v),
-		Clusters: aug.Clusters(),
-		K:        aug.K,
-		Params:   p,
-		Rng:      rng,
-	})
 }

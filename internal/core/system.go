@@ -42,9 +42,8 @@ type node struct {
 	fault    FaultSpec // zero value unless faulty; kept for Reset
 	crashAt  float64   // +Inf when not crashing
 
-	// Per-node RNG streams, kept so Reset can rewind them in place
-	// (Reseed) instead of allocating fresh ones. byzRng is nil unless the
-	// node runs a Byzantine strategy.
+	// Per-node RNG streams, allocated unseeded and derived in place by
+	// Reset. byzRng is nil unless the node runs a Byzantine strategy.
 	driftRng *sim.RNG
 	byzRng   *sim.RNG
 
@@ -80,8 +79,8 @@ type System struct {
 	// every tick and the graph rebuilds (and re-sorts) it per call.
 	baseEdges [][2]graph.NodeID
 
-	// delayRng feeds the transport delay model; kept so Reset can rewind
-	// it in place.
+	// delayRng feeds the transport delay model; allocated unseeded and
+	// derived in place by Reset.
 	delayRng *sim.RNG
 
 	sampleInterval float64
@@ -91,7 +90,11 @@ type System struct {
 	started        bool
 }
 
-// NewSystem builds (but does not run) a system.
+// NewSystem builds (but does not run) a system: it wires everything that
+// does not depend on the seed — graph augmentation, clocks, protocol
+// instances, observers, estimators and their closures — and then Reset
+// writes the initial run state, so a fresh system is a reset one by
+// construction.
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -101,8 +104,9 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: augment: %w", err)
 	}
 	eng := sim.NewEngine()
-	delayRng := sim.NewRNG(cfg.Seed, 1)
-	net := transport.NewNetwork(eng, aug.Net, cfg.delayModel().Build(cfg.Params, delayRng))
+	// Nothing is sent before Reset installs the run's delay model; the
+	// zero-delay placeholder only lets the network be allocated.
+	net := transport.NewNetwork(eng, aug.Net, transport.FixedDelay{})
 
 	nc := aug.Clusters()
 	s := &System{
@@ -120,7 +124,7 @@ func NewSystem(cfg Config) (*System, error) {
 		sampleClocks:   make([]float64, nc),
 		sampleValid:    make([]bool, nc),
 		baseEdges:      cfg.Base.Edges(),
-		delayRng:       delayRng,
+		delayRng:       new(sim.RNG),
 		sampleInterval: cfg.SampleInterval,
 	}
 	if s.sampleInterval <= 0 {
@@ -156,15 +160,20 @@ func NewSystem(cfg Config) (*System, error) {
 		faults[f.Node] = f
 	}
 	for v := 0; v < aug.Net.N(); v++ {
-		if err := s.buildNode(v, faults); err != nil {
+		if err := s.wireNode(v, faults); err != nil {
 			return nil, err
 		}
+	}
+	if err := s.Reset(cfg.Seed); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// buildNode wires one physical node.
-func (s *System) buildNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) error {
+// wireNode allocates one physical node's seed-independent structure. The
+// hardware clock gets its rate model, and the node its pulse handler, from
+// Reset.
+func (s *System) wireNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) error {
 	cfg := s.cfg
 	p := cfg.Params
 	c := s.aug.ClusterOf(v)
@@ -172,6 +181,7 @@ func (s *System) buildNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) er
 		id:        v,
 		clusterID: c,
 		crashAt:   math.Inf(1),
+		driftRng:  new(sim.RNG),
 	}
 	s.nodes[v] = n
 
@@ -179,34 +189,12 @@ func (s *System) buildNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) er
 	n.faulty = isFaulty
 	n.fault = fault
 
-	// Hardware clock.
-	n.driftRng = sim.NewRNG(cfg.Seed, 100+uint64(v))
-	var model clockwork.RateModel
-	switch {
-	case isFaulty && fault.OffSpecRate != 0:
-		model = clockwork.Constant{Rate: fault.OffSpecRate}
-	default:
-		model = buildDrift(cfg.driftModel(), p, s.aug, v, n.driftRng)
-	}
-	n.hw = clockwork.NewHardwareClock(model)
+	n.hw = clockwork.NewHardwareClock(nil)
 	n.main = clockwork.NewLogicalClock(n.hw, p.Phi, p.Mu)
 
-	// Strategy-driven Byzantine nodes run no protocol at all; if the
-	// strategy is adaptive it receives the node's incoming pulses.
+	// Strategy-driven Byzantine nodes run no protocol at all.
 	if isFaulty && fault.Strategy != nil {
-		n.byzRng = sim.NewRNG(cfg.Seed, 900+uint64(v))
-		handler, err := fault.Strategy.Install(byzantine.Ctx{
-			Eng:       s.eng,
-			Net:       s.net,
-			Self:      v,
-			Params:    p,
-			Rng:       n.byzRng,
-			Neighbors: s.aug.Net.Neighbors(v),
-		})
-		if err != nil {
-			return err
-		}
-		s.net.OnPulse(v, handler)
+		n.byzRng = new(sim.RNG)
 		return nil
 	}
 	if isFaulty && fault.CrashAt > 0 {
@@ -308,7 +296,7 @@ func (s *System) buildNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) er
 		n.maxEst = est
 	}
 
-	// Pulse routing, kept on the node so Reset can re-register it.
+	// Pulse routing; Reset registers it with the network.
 	n.route = func(at float64, pu transport.Pulse) {
 		switch pu.Kind {
 		case transport.PulseMax:
@@ -324,7 +312,6 @@ func (s *System) buildNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) er
 			}
 		}
 	}
-	s.net.OnPulse(v, n.route)
 	return nil
 }
 
@@ -459,30 +446,34 @@ func (s *System) Start() error {
 	return nil
 }
 
-// Reset rewinds a built system to a fresh pre-run state under a new seed,
-// reusing everything NewSystem allocated: the graph augmentation, neighbor
+// Reset puts a wired system into the initial state of a run under the given
+// seed — Algorithm 1's simultaneous initialisation: L_v(0) = 0, δ = 1,
+// γ = 0, nothing started. It is the only code that writes that state:
+// NewSystem ends by calling it, so a Run after Reset(seed) is
+// byte-identical to a fresh NewSystem with Seed=seed by construction for
+// everything derived from the seed, and what the fresh-vs-reset tests guard
+// is that it also clears whatever a previous run left behind.
+//
+// Everything NewSystem allocated survives: the graph augmentation, neighbor
 // tables, engine event slab, cluster reception buffers, metric series
-// backing arrays and pulse bookkeeping all survive. A Run after
-// Reset(seed) produces output byte-identical to a fresh NewSystem with
-// Seed=seed: the engine's sequence counter restarts at 0 and Byzantine
-// strategies are re-installed in build order with freshly derived RNG
-// streams, so the (time, seq) event stream replays exactly. Pulse handlers
-// are re-registered in that order too: a pulse is scheduled only for a
-// receiver that has one when it is sent, and a strategy may send from
-// inside Install. Stateful per-node models (drift rate schedules, the delay
-// model) are rebuilt from the new seed's streams; the structural wiring
-// (instances, observers, routing closures) is retained.
+// backing arrays and pulse bookkeeping. The engine's sequence counter
+// restarts at 0. Then, in node order, each node's streams are derived from
+// the seed, its rate model is built, and its pulse handler is registered —
+// a Byzantine strategy's by installing it. The order is part of the
+// execution: a strategy may schedule events and send from inside Install,
+// and a pulse is scheduled only for a receiver that has a handler when it
+// is sent.
 //
 // Reset must not be called while Run/RunContext is in flight. On error
-// (a Byzantine strategy failed to re-install) the system is left
-// half-reset and must be discarded.
+// (a Byzantine strategy failed to install) the system is left half-reset
+// and must be discarded.
 func (s *System) Reset(seed int64) error {
 	cfg := &s.cfg
 	cfg.Seed = seed
 	p := cfg.Params
 	s.eng.Reset()
 	s.delayRng.Reseed(seed, 1)
-	s.net.Reset(cfg.delayModel().Build(p, s.delayRng))
+	s.net.Reset(BuildDelay(cfg.Delay, p, s.delayRng))
 	s.rec.Reset()
 	for c := range s.pulseMin {
 		// recordPulse's prealloc branch keys on nil, so a truncated slice
@@ -491,50 +482,50 @@ func (s *System) Reset(seed int64) error {
 		s.pulseMax[c] = s.pulseMax[c][:0]
 		s.pulseCount[c] = s.pulseCount[c][:0]
 	}
-	// Per-node rewind mirrors buildNode's iteration order exactly:
-	// strategy installations schedule events before Start, and replaying
-	// them in build order with seq restarted at 0 is what makes the reset
-	// run's event stream identical to a fresh build's.
-	for v, n := range s.nodes {
+	for _, n := range s.nodes {
+		v := n.id
 		n.driftRng.Reseed(seed, 100+uint64(v))
 		var model clockwork.RateModel
 		switch {
 		case n.faulty && n.fault.OffSpecRate != 0:
 			model = clockwork.Constant{Rate: n.fault.OffSpecRate}
 		default:
-			model = buildDrift(cfg.driftModel(), p, s.aug, graph.NodeID(v), n.driftRng)
+			model = BuildDrift(cfg.Drift, p, s.aug, v, n.driftRng)
 		}
 		n.hw.Reset(model)
 		n.main.Reset()
-		if n.faulty && n.fault.Strategy != nil {
-			n.byzRng.Reseed(seed, 900+uint64(v))
-			handler, err := n.fault.Strategy.Install(byzantine.Ctx{
-				Eng:       s.eng,
-				Net:       s.net,
-				Self:      graph.NodeID(v),
-				Params:    p,
-				Rng:       n.byzRng,
-				Neighbors: s.aug.Net.Neighbors(graph.NodeID(v)),
-			})
-			if err != nil {
-				return err
-			}
-			s.net.OnPulse(graph.NodeID(v), handler)
-			continue
-		}
-		s.net.OnPulse(graph.NodeID(v), n.route)
-		n.inst.Reset()
-		for i, obs := range n.observers {
-			n.obsClocks[i].Reset()
-			obs.Reset()
-		}
-		if n.maxEst != nil {
-			n.maxEst.Reset()
-		}
 		n.gcsStats = gcs.Stats{}
 		n.roundTimes = n.roundTimes[:0]
 		n.roundValues = n.roundValues[:0]
 		n.roundModes = n.roundModes[:0]
+		handler := n.route
+		if n.inst == nil {
+			// Strategy-driven: if the strategy is adaptive it receives the
+			// node's incoming pulses.
+			n.byzRng.Reseed(seed, 900+uint64(v))
+			var err error
+			handler, err = n.fault.Strategy.Install(byzantine.Ctx{
+				Eng:       s.eng,
+				Net:       s.net,
+				Self:      v,
+				Params:    p,
+				Rng:       n.byzRng,
+				Neighbors: s.aug.Net.Neighbors(v),
+			})
+			if err != nil {
+				return err
+			}
+		} else {
+			n.inst.Reset()
+			for i, obs := range n.observers {
+				n.obsClocks[i].Reset()
+				obs.Reset()
+			}
+			if n.maxEst != nil {
+				n.maxEst.Reset()
+			}
+		}
+		s.net.OnPulse(v, handler)
 	}
 	s.started = false
 	return nil
@@ -569,8 +560,14 @@ func (s *System) Progress() sim.Progress { return s.eng.Progress() }
 // Engine exposes the simulation engine.
 func (s *System) Engine() *sim.Engine { return s.eng }
 
+// Now returns the current simulated time.
+func (s *System) Now() float64 { return s.eng.Now() }
+
 // Aug returns the augmented topology.
 func (s *System) Aug() *graph.Augmented { return s.aug }
+
+// Diameter returns the hop diameter of the base graph.
+func (s *System) Diameter() int { return s.aug.Base.Diameter() }
 
 // Params returns the derived constants.
 func (s *System) Params() params.Params { return s.cfg.Params }

@@ -132,6 +132,7 @@ func New(eng *sim.Engine, cfg Config) (*Estimator, error) {
 		}
 		e.groups = append(e.groups, group{lo: lo, hi: len(e.senders)})
 	}
+	e.Reset()
 	return e, nil
 }
 
@@ -283,11 +284,4 @@ func (e *Estimator) HandleMaxPulse(t float64, from graph.NodeID) {
 	if err := e.scheduleNextLevel(); err != nil {
 		panic(err)
 	}
-}
-
-// Gap returns M_v(t) − L for a logical clock value L; positive values mean
-// the node lags the (estimated) maximum. Convenience for the Theorem C.3
-// rule.
-func (e *Estimator) Gap(t, logical float64) float64 {
-	return e.Value(t) - logical
 }

@@ -375,26 +375,6 @@ func TestFloodingChain(t *testing.T) {
 	}
 }
 
-func TestGap(t *testing.T) {
-	eng := sim.NewEngine()
-	hw := clockwork.NewHardwareClock(clockwork.Constant{Rate: 1})
-	e, err := New(eng, Config{Unit: 1, Rho: 1e-3, F: 0, Groups: singleGroup(1),
-		HW: hw, Send: func(float64, int) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	m := e.Value(10)
-	if gap := e.Gap(10, m-3); math.Abs(gap-3) > 1e-9 {
-		t.Errorf("Gap = %v, want 3", gap)
-	}
-}
-
 func BenchmarkHandleMaxPulse(b *testing.B) {
 	eng := sim.NewEngine()
 	hw := clockwork.NewHardwareClock(clockwork.Constant{Rate: 1})

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"ftgcs/internal/sim"
 	"ftgcs/internal/spec"
 )
 
@@ -77,14 +78,42 @@ func BenchmarkReplicatedJob(b *testing.B) {
 			defer m.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st, err := m.Submit(Request{Spec: benchSpec(int64(1 + i*1000)), Replicate: 8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st := waitDone(b, m, st.ID); st.State != StateDone {
-					b.Fatalf("job state %v", st.State)
-				}
+				runToDone(b, m, Request{Spec: benchSpec(int64(1 + i*1000)), Replicate: 8})
 			}
 		})
+	}
+}
+
+// runToDone submits a fresh request and waits for it to complete.
+func runToDone(tb testing.TB, m *Manager, req Request) {
+	tb.Helper()
+	st, err := m.Submit(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if st := waitDone(tb, m, st.ID); st.State != StateDone {
+		tb.Fatalf("job state %v", st.State)
+	}
+}
+
+// TestReplicatedJobReuseAllocs pins BenchmarkReplicatedJob/reuse at a fixed
+// iteration count (b.N-amortised readings of the same row moved by a few
+// allocations with the count the harness picked): 8 seeds through one
+// manager cost 8 resets of the pooled system plus the job's own
+// bookkeeping, nowhere near the ~7 700 of a single rebuild. AllocsPerRun's
+// warm-up call pays the one build.
+func TestReplicatedJobReuseAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m := NewManager(Options{Workers: 1, SweepWorkers: 1})
+	defer m.Close()
+	seed := int64(1)
+	allocs := testing.AllocsPerRun(10, func() {
+		runToDone(t, m, Request{Spec: benchSpec(seed), Replicate: 8})
+		seed += 1000
+	})
+	if allocs > 3150 {
+		t.Errorf("8 reused seeds allocate %.0f per job, want ≤ 3150 (3113 measured)", allocs)
 	}
 }

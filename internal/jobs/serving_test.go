@@ -227,22 +227,33 @@ func BenchmarkSubmitFreshPooled(b *testing.B) {
 			// timed region: the first job's full Build would otherwise be
 			// amortized over b.N, making allocs/op depend on the iteration
 			// count the harness picks.
-			if st, err := m.Submit(Request{Spec: benchSpec(0)}); err != nil {
-				b.Fatal(err)
-			} else if st := waitDone(b, m, st.ID); st.State != StateDone {
-				b.Fatalf("warm-up job state %v", st.State)
-			}
+			runToDone(b, m, Request{Spec: benchSpec(0)})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st, err := m.Submit(Request{Spec: benchSpec(int64(1 + i))})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st := waitDone(b, m, st.ID); st.State != StateDone {
-					b.Fatalf("job state %v", st.State)
-				}
+				runToDone(b, m, Request{Spec: benchSpec(int64(1 + i))})
 			}
 		})
+	}
+}
+
+// TestSubmitFreshPooledAllocs pins BenchmarkSubmitFreshPooled/pooled at a
+// fixed iteration count: with the pool warm, a fresh distinct-seed job is
+// one reset of the pooled system plus queueing, running, summarising and
+// caching it.
+func TestSubmitFreshPooledAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m := NewManager(Options{Workers: 1, SweepWorkers: 1, CacheSize: 4})
+	defer m.Close()
+	runToDone(t, m, Request{Spec: benchSpec(0)})
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(30, func() {
+		seed++
+		runToDone(t, m, Request{Spec: benchSpec(seed)})
+	})
+	if allocs > 490 {
+		t.Errorf("pooled fresh job allocates %.0f, want ≤ 490 (474 measured)", allocs)
 	}
 }

@@ -176,23 +176,17 @@ type Network struct {
 
 // NewNetwork constructs a network over g using the given delay model.
 func NewNetwork(eng *sim.Engine, g *graph.Graph, delays DelayModel) *Network {
-	d, u := delays.Bounds()
-	return &Network{
-		eng:      eng,
-		g:        g,
-		delays:   delays,
-		handlers: make([]Handler, g.N()),
-		d:        d,
-		u:        u,
-	}
+	n := &Network{eng: eng, g: g, handlers: make([]Handler, g.N())}
+	n.Reset(delays)
+	return n
 }
 
-// Reset clears the transport counters and swaps in a freshly built delay
-// model for a new run (stateful models carry RNG streams that must be
-// re-derived from the new seed). Every handler is cleared: a send is
-// scheduled only for a receiver registered at that instant, so the caller
-// re-registers handlers in the order it first did and a send made mid-rewind
-// meets the handlers it met mid-build. The cached bounds are re-read.
+// Reset starts a run: it installs the run's delay model (stateful models
+// carry RNG streams that must be re-derived from the new seed), reads and
+// caches its bounds, and zeroes the counters. Every handler is cleared: a
+// send is scheduled only for a receiver registered at that instant, so the
+// caller registers handlers in one fixed order after every Reset and a send
+// made while it does meets the same handlers each time.
 func (n *Network) Reset(delays DelayModel) {
 	n.delays = delays
 	n.d, n.u = delays.Bounds()
@@ -267,7 +261,7 @@ func (n *Network) scheduleDelivery(t, delay float64, from, to graph.NodeID, kind
 }
 
 // Broadcast sends a pulse from v to all its neighbors (not to itself; use
-// Loopback for the sender's own observation of its pulse). This is the only
+// LoopbackFunc for the sender's own observation of its pulse). This is the only
 // send primitive available to correct nodes.
 //
 // A broadcast is atomic with respect to delay-model failures: every
@@ -324,21 +318,5 @@ func (n *Network) LoopbackFunc(t float64, v graph.NodeID, fn func(at float64)) e
 	}
 	n.stats.Loopbacks++
 	_, err := n.eng.ScheduleData(t+delay, "loopback-fn", loopbackFnEvent, sim.Data{Ctx: fn})
-	return err
-}
-
-// Loopback schedules delivery of v's own pulse to itself through the same
-// delay model (ClusterSync's τ_vv term needs the reception time of the
-// node's own pulse). The pulse is delivered via the node's handler like any
-// other.
-func (n *Network) Loopback(t float64, v graph.NodeID, kind Kind) error {
-	delay := n.delays.Sample(v, v, t)
-	if err := n.validateDelay(delay, v, v); err != nil {
-		return err
-	}
-	n.stats.Loopbacks++
-	_, err := n.eng.ScheduleData(t+delay, "loopback", deliverEvent, sim.Data{
-		Ctx: n, I0: int64(v), I1: int64(v), I2: int64(kind),
-	})
 	return err
 }

@@ -81,20 +81,18 @@ func TestLoopback(t *testing.T) {
 	eng := sim.NewEngine()
 	g := graph.Line(2)
 	net := NewNetwork(eng, g, FixedDelay{D: 1e-3, U: 0})
-	var got []Pulse
-	var at float64
-	net.OnPulse(0, func(t float64, p Pulse) { got = append(got, p); at = t })
-	if err := net.Loopback(0, 0, PulseClock); err != nil {
+	var got []float64
+	if err := net.LoopbackFunc(0, 0, func(at float64) { got = append(got, at) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].From != 0 {
-		t.Fatalf("got %v", got)
+	if len(got) != 1 || got[0] != 1e-3 {
+		t.Errorf("loopback deliveries at %v, want one at 1e-3", got)
 	}
-	if at != 1e-3 {
-		t.Errorf("loopback delivery at %v, want 1e-3", at)
+	if st := net.Stats(); st.Loopbacks != 1 || st.Sends != 0 || st.Delivered != 0 {
+		t.Errorf("stats %+v, want exactly one loopback and no pulse", st)
 	}
 }
 

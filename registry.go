@@ -26,52 +26,90 @@ type TopologyBuilder func(size int, seed int64) (*Topology, error)
 // collision is a programming error worth failing loudly on.
 type Registry struct {
 	mu         sync.RWMutex
-	topologies map[string]TopologyBuilder
-	topoSizes  map[string]func(size int) int
-	drifts     map[string]func() DriftModel
-	delays     map[string]func() DelayModel
-	attacks    map[string]func() Attack
+	topologies catalog[TopologyBuilder]
+	topoSizes  catalog[func(size int) int]
+	drifts     catalog[func() DriftModel]
+	delays     catalog[func() DelayModel]
+	attacks    catalog[func() Attack]
 	aliases    map[string]string // alias → canonical name
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		topologies: make(map[string]TopologyBuilder),
-		topoSizes:  make(map[string]func(size int) int),
-		drifts:     make(map[string]func() DriftModel),
-		delays:     make(map[string]func() DelayModel),
-		attacks:    make(map[string]func() Attack),
+		topologies: newCatalog[TopologyBuilder]("topology", "topology"),
+		topoSizes:  newCatalog[func(size int) int]("topology size estimator", ""),
+		drifts:     newCatalog[func() DriftModel]("drift", "drift model"),
+		delays:     newCatalog[func() DelayModel]("delay", "delay model"),
+		attacks:    newCatalog[func() Attack]("attack", "attack"),
 		aliases:    make(map[string]string),
 	}
 }
 
-// lookup resolves name in one catalog: an exact registration wins, then
-// the shared alias table is consulted. Callers must hold r.mu (read).
-func lookup[V any](r *Registry, m map[string]V, name string) (V, bool) {
-	if v, ok := m[name]; ok {
+// catalog is one of a Registry's name → value tables. Its methods take the
+// registry for the lock and the alias table the catalogs share.
+type catalog[V any] struct {
+	noun string // in the duplicate panic: `drift "x" registered twice`
+	kind string // in the lookup error: `unknown drift model "x"`
+	m    map[string]V
+}
+
+func newCatalog[V any](noun, kind string) catalog[V] {
+	return catalog[V]{noun: noun, kind: kind, m: make(map[string]V)}
+}
+
+// register adds v under name. It panics when the name is empty, v is nil
+// (the caller compares: V is not comparable here) or the name is taken; fn
+// and arg word the first panic as the exported method documents it.
+func (c *catalog[V]) register(r *Registry, fn, arg, name string, v V, isNil bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if name == "" || isNil {
+		panic(fmt.Sprintf("ftgcs: %s with empty name or nil %s", fn, arg))
+	}
+	if _, dup := c.m[name]; dup {
+		panic(fmt.Sprintf("ftgcs: %s %q registered twice", c.noun, name))
+	}
+	c.m[name] = v
+}
+
+// lookup resolves name: an exact registration wins, then the shared alias
+// table is consulted.
+func (c *catalog[V]) lookup(r *Registry, name string) (V, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if v, ok := c.m[name]; ok {
 		return v, true
 	}
-	if canonical, ok := r.aliases[name]; ok {
-		v, ok := m[canonical]
-		return v, ok
+	v, ok := c.m[r.aliases[name]] // "" for a non-alias, which nothing is registered under
+	return v, ok
+}
+
+// get is lookup with the error for a miss, which lists what is available.
+func (c *catalog[V]) get(r *Registry, name string) (V, error) {
+	v, ok := c.lookup(r, name)
+	if !ok {
+		return v, fmt.Errorf("ftgcs: unknown %s %q (have: %s)", c.kind, name, strings.Join(c.names(r), ", "))
 	}
-	var zero V
-	return zero, false
+	return v, nil
+}
+
+// names lists the registered names, sorted.
+func (c *catalog[V]) names(r *Registry) []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, 0, len(c.m))
+	for k := range c.m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // RegisterTopology adds a topology family under the given name. It panics
 // if the name is empty or already taken.
 func (r *Registry) RegisterTopology(name string, b TopologyBuilder) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if name == "" || b == nil {
-		panic("ftgcs: RegisterTopology with empty name or nil builder")
-	}
-	if _, dup := r.topologies[name]; dup {
-		panic(fmt.Sprintf("ftgcs: topology %q registered twice", name))
-	}
-	r.topologies[name] = b
+	r.topologies.register(r, "RegisterTopology", "builder", name, b, b == nil)
 }
 
 // RegisterTopologySize attaches a cluster-count estimator to a topology
@@ -83,24 +121,14 @@ func (r *Registry) RegisterTopology(name string, b TopologyBuilder) {
 // instead of overflowing for huge parameters. It panics if the name is
 // empty, the estimator nil, or one is already registered.
 func (r *Registry) RegisterTopologySize(name string, clusters func(size int) int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if name == "" || clusters == nil {
-		panic("ftgcs: RegisterTopologySize with empty name or nil estimator")
-	}
-	if _, dup := r.topoSizes[name]; dup {
-		panic(fmt.Sprintf("ftgcs: topology size estimator %q registered twice", name))
-	}
-	r.topoSizes[name] = clusters
+	r.topoSizes.register(r, "RegisterTopologySize", "estimator", name, clusters, clusters == nil)
 }
 
 // TopologyClusters estimates how many clusters the named family (alias
 // or canonical) resolves to at the given size. ok is false when the
 // family has no registered estimator.
 func (r *Registry) TopologyClusters(name string, size int) (int, bool) {
-	r.mu.RLock()
-	est, ok := lookup(r, r.topoSizes, name)
-	r.mu.RUnlock()
+	est, ok := r.topoSizes.lookup(r, name)
 	if !ok {
 		return 0, false
 	}
@@ -110,43 +138,19 @@ func (r *Registry) TopologyClusters(name string, size int) (int, bool) {
 // RegisterDrift adds a drift model constructor under the given name. It
 // panics if the name is empty or already taken.
 func (r *Registry) RegisterDrift(name string, ctor func() DriftModel) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if name == "" || ctor == nil {
-		panic("ftgcs: RegisterDrift with empty name or nil constructor")
-	}
-	if _, dup := r.drifts[name]; dup {
-		panic(fmt.Sprintf("ftgcs: drift %q registered twice", name))
-	}
-	r.drifts[name] = ctor
+	r.drifts.register(r, "RegisterDrift", "constructor", name, ctor, ctor == nil)
 }
 
 // RegisterDelay adds a delay model constructor under the given name. It
 // panics if the name is empty or already taken.
 func (r *Registry) RegisterDelay(name string, ctor func() DelayModel) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if name == "" || ctor == nil {
-		panic("ftgcs: RegisterDelay with empty name or nil constructor")
-	}
-	if _, dup := r.delays[name]; dup {
-		panic(fmt.Sprintf("ftgcs: delay %q registered twice", name))
-	}
-	r.delays[name] = ctor
+	r.delays.register(r, "RegisterDelay", "constructor", name, ctor, ctor == nil)
 }
 
 // RegisterAttack adds a Byzantine attack constructor under the given name.
 // It panics if the name is empty or already taken.
 func (r *Registry) RegisterAttack(name string, ctor func() Attack) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if name == "" || ctor == nil {
-		panic("ftgcs: RegisterAttack with empty name or nil constructor")
-	}
-	if _, dup := r.attacks[name]; dup {
-		panic(fmt.Sprintf("ftgcs: attack %q registered twice", name))
-	}
-	r.attacks[name] = ctor
+	r.attacks.register(r, "RegisterAttack", "constructor", name, ctor, ctor == nil)
 }
 
 // RegisterAlias maps an alternative spelling to a canonical name (e.g.
@@ -174,99 +178,61 @@ func (r *Registry) RegisterAlias(alias, canonical string) {
 // isCanonical reports whether the name is directly registered in any
 // catalog. Callers must hold r.mu.
 func (r *Registry) isCanonical(name string) bool {
-	_, t := r.topologies[name]
-	_, dr := r.drifts[name]
-	_, de := r.delays[name]
-	_, a := r.attacks[name]
+	_, t := r.topologies.m[name]
+	_, dr := r.drifts.m[name]
+	_, de := r.delays.m[name]
+	_, a := r.attacks.m[name]
 	return t || dr || de || a
-}
-
-// unknown builds the error for a failed lookup, listing what is available.
-func unknown(kind, name string, names []string) error {
-	return fmt.Errorf("ftgcs: unknown %s %q (have: %s)", kind, name, strings.Join(names, ", "))
 }
 
 // Topology builds the named topology family at the given size. Randomized
 // families use the seed; deterministic ones ignore it.
 func (r *Registry) Topology(name string, size int, seed int64) (*Topology, error) {
-	r.mu.RLock()
-	b, ok := lookup(r, r.topologies, name)
-	r.mu.RUnlock()
-	if !ok {
-		return nil, unknown("topology", name, r.TopologyNames())
+	b, err := r.topologies.get(r, name)
+	if err != nil {
+		return nil, err
 	}
 	return b(size, seed)
 }
 
 // Drift returns a fresh instance of the named drift model.
 func (r *Registry) Drift(name string) (DriftModel, error) {
-	r.mu.RLock()
-	ctor, ok := lookup(r, r.drifts, name)
-	r.mu.RUnlock()
-	if !ok {
-		return nil, unknown("drift model", name, r.DriftNames())
+	ctor, err := r.drifts.get(r, name)
+	if err != nil {
+		return nil, err
 	}
 	return ctor(), nil
 }
 
 // Delay returns a fresh instance of the named delay model.
 func (r *Registry) Delay(name string) (DelayModel, error) {
-	r.mu.RLock()
-	ctor, ok := lookup(r, r.delays, name)
-	r.mu.RUnlock()
-	if !ok {
-		return nil, unknown("delay model", name, r.DelayNames())
+	ctor, err := r.delays.get(r, name)
+	if err != nil {
+		return nil, err
 	}
 	return ctor(), nil
 }
 
 // Attack returns a fresh instance of the named Byzantine attack.
 func (r *Registry) Attack(name string) (Attack, error) {
-	r.mu.RLock()
-	ctor, ok := lookup(r, r.attacks, name)
-	r.mu.RUnlock()
-	if !ok {
-		return nil, unknown("attack", name, r.AttackNames())
+	ctor, err := r.attacks.get(r, name)
+	if err != nil {
+		return nil, err
 	}
 	return ctor(), nil
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TopologyNames lists the registered topology families, sorted.
-func (r *Registry) TopologyNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return sortedKeys(r.topologies)
-}
+func (r *Registry) TopologyNames() []string { return r.topologies.names(r) }
 
 // DriftNames lists the registered drift models, sorted.
-func (r *Registry) DriftNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return sortedKeys(r.drifts)
-}
+func (r *Registry) DriftNames() []string { return r.drifts.names(r) }
 
 // DelayNames lists the registered delay models, sorted.
-func (r *Registry) DelayNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return sortedKeys(r.delays)
-}
+func (r *Registry) DelayNames() []string { return r.delays.names(r) }
 
 // AttackNames lists the registered attacks, sorted.
-func (r *Registry) AttackNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return sortedKeys(r.attacks)
-}
+func (r *Registry) AttackNames() []string { return r.attacks.names(r) }
 
 // DefaultRegistry holds every built-in topology, drift model, delay model
 // and attack, and is where RegisterDrift et al. (the package-level
@@ -346,7 +312,7 @@ func newBuiltinRegistry() *Registry {
 		r.RegisterAttack(a.Name(), func() Attack { return a })
 	}
 
-	// Historical CLI spellings, shared with byzantine.ByName.
+	// Historical CLI spellings.
 	for alias, canonical := range byzantine.Aliases() {
 		r.RegisterAlias(alias, canonical)
 	}

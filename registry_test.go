@@ -3,8 +3,6 @@ package ftgcs
 import (
 	"strings"
 	"testing"
-
-	"ftgcs/internal/byzantine"
 )
 
 // TestRegistryBuiltins checks that every built-in is resolvable and that
@@ -41,13 +39,6 @@ func TestRegistryBuiltins(t *testing.T) {
 		}
 		if a.Name() != name {
 			t.Errorf("attack %q constructs strategy named %q", name, a.Name())
-		}
-		// Parity with the byzantine package's own name resolution.
-		b, err := byzantine.ByName(name)
-		if err != nil {
-			t.Errorf("byzantine.ByName(%q): %v", name, err)
-		} else if b.Name() != a.Name() {
-			t.Errorf("attack %q: registry gives %q, byzantine.ByName gives %q", name, a.Name(), b.Name())
 		}
 	}
 }

@@ -333,3 +333,48 @@ func TestSweepReuseDifferential(t *testing.T) {
 		}
 	}
 }
+
+// recordingAttack notes the node of every Install.
+type recordingAttack struct{ installs []NodeID }
+
+func (*recordingAttack) Name() string { return "recording" }
+func (a *recordingAttack) Install(ctx AttackContext) (PulseHandler, error) {
+	a.installs = append(a.installs, ctx.Self)
+	return nil, nil
+}
+
+// TestInstallOncePerSeeding pins what building, resetting and pooling share:
+// each puts the system in its initial state through one routine, which
+// installs every faulty node's strategy exactly once, in ascending node
+// order however the faults were listed — a strategy may send from inside
+// Install, so the order is part of the execution.
+func TestInstallOncePerSeeding(t *testing.T) {
+	rec := &recordingAttack{}
+	sc := NewScenario(
+		WithTopology(Line(3)),
+		WithClusters(4, 1),
+		WithAttack(rec, 9, 2, 6),
+	)
+	check := func(how string) {
+		t.Helper()
+		if want := []NodeID{2, 6, 9}; !reflect.DeepEqual(rec.installs, want) {
+			t.Errorf("%s installed on %v, want %v", how, rec.installs, want)
+		}
+		rec.installs = rec.installs[:0]
+	}
+	sys, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Build")
+	if err := sys.Reset(5); err != nil {
+		t.Fatal(err)
+	}
+	check("Reset")
+	pool := NewSystemPool(1)
+	pool.Release(sc, sys)
+	if pool.Acquire(sc.With(WithSeed(7))) != sys {
+		t.Fatal("pool did not hand the system back")
+	}
+	check("SystemPool.Acquire")
+}

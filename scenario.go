@@ -371,7 +371,7 @@ func (s *Scenario) Build() (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ftgcs: %w", err)
 	}
-	return &System{sys: sys, b: coreBackend{sys}, p: p}, nil
+	return &System{sys: sys, b: sys, p: p}, nil
 }
 
 // expandFaults resolves the scenario's full fault list against the given
