@@ -10,10 +10,42 @@
 // this engine: node pulses, phase transitions, drift-model rate changes and
 // metric samplers are all events.
 //
-// The queue is a hand-rolled indexed min-heap over a slab of pooled event
-// structs with an embedded free list: in steady state (events fired ≈
-// events scheduled) the engine performs zero heap allocations per event.
-// Handles are generation-counted so Cancel on a recycled slot is safe.
+// Events live in a slab of pooled structs with an embedded free list: in
+// steady state (events fired ≈ events scheduled) the engine performs zero
+// heap allocations per event. Handles are generation-counted so Cancel on a
+// recycled slot is safe.
+//
+// # The queue
+//
+// Pending events wait in three stages with one firing order, (at, seq):
+//
+//   - the near heap, a 4-ary min-heap over (at, seq). Events fire from its
+//     root and from nowhere else;
+//   - the wheel, an array of time buckets (intrusive doubly linked lists,
+//     an occupancy bitmap) covering the ticks after the current one, cur.
+//     Filing and canceling are O(1) and compare nothing;
+//   - the far heap, the same heap implementation, for events beyond the
+//     wheel's window (round timers, samplers).
+//
+// tick(t) = uint64(t · buckets/span) numbers the buckets. An event with
+// tick ≤ cur files near, one with tick − cur < buckets files in bucket
+// tick mod buckets, anything later files far. When the near heap runs empty
+// the wheel turns: cur becomes the next occupied tick, far entries that now
+// fall inside the window move into their buckets, and bucket cur is loaded
+// into the near heap.
+//
+// The ordering argument is one sentence: tick is monotone in t, so every
+// entry outside the near heap (tick > cur) is strictly later than every
+// entry inside it (tick ≤ cur), and the near heap is a proper heap over
+// (at, seq) — hence the root of the near heap is the minimum of everything
+// pending, whatever the span and the bucket count are. A peek that turns
+// the wheel past the clock is harmless for the same reason: a later push
+// with tick ≤ cur lands in the near heap.
+//
+// The span is the only input (SetLookahead; transport.Network derives it
+// from the delay model's bound d) and the bucket count sizes itself like a
+// hash table. With no span every tick is 0 and every event files near: the
+// wheel is an accelerator in front of the heap, not a second engine.
 package sim
 
 import (
@@ -54,7 +86,6 @@ type event struct {
 	data  Data
 	label string
 	gen   uint32 // bumped on every release; stale Handles never match
-	pos   int32  // index into Engine.heap; -1 once fired/canceled
 }
 
 // Handle identifies a scheduled event so it can be canceled. The zero
@@ -74,11 +105,23 @@ type Handle struct {
 // The only way to stop a run from outside is to cancel its context.
 type Engine struct {
 	now Time
-	// events is the pooled slab; heap holds slab indices ordered as a
-	// min-heap by (at, seq); free is the stack of recycled slab indices.
+	// events is the pooled slab and slots its queue bookkeeping, index for
+	// index; free is the stack of recycled slab indices.
 	events []event
-	heap   []int32
+	slots  []slot
 	free   []int32
+
+	// The queue (queue.go): near and far are heaps ordered by (at, seq);
+	// head[b] is the first slot of bucket b (-1 when empty), occ has one bit
+	// per non-empty bucket and wheelN counts the wheel's entries. cur is
+	// the tick the near heap serves; scale = buckets/span maps time to
+	// ticks and is 0 while no span is set.
+	near, far   []entry
+	head        []int32
+	occ         []uint64
+	wheelN      int
+	cur         uint64
+	span, scale float64
 
 	seq uint64
 
@@ -91,11 +134,13 @@ type Engine struct {
 	// maxEvents aborts runaway simulations; 0 means no limit.
 	maxEvents uint64
 
-	// Pad to two full cache lines (the 128-byte size class): the loop
-	// writes now, processed and nowBits on every event, and a Sweep runs
-	// one engine per worker, so engines allocated side by side must not
-	// share a line (measured: +12 % per sweep batch without it).
-	_ [16]byte
+	stats QueueStats
+
+	// Pad 288 bytes of fields to five full cache lines (320 bytes): the
+	// loop writes now, processed and nowBits on every event, and a Sweep
+	// runs one engine per worker, so engines allocated side by side must
+	// not share a line (measured: +12 % per sweep batch without it).
+	_ [32]byte
 }
 
 // NewEngine returns an engine with the clock at time 0.
@@ -140,7 +185,7 @@ func (e *Engine) Progress() Progress {
 func (e *Engine) SetEventLimit(n uint64) { e.maxEvents = n }
 
 // Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.near) + e.wheelN + len(e.far) }
 
 // ErrEventLimit is returned by Run when the configured event limit is hit.
 var ErrEventLimit = errors.New("sim: event limit exceeded")
@@ -155,8 +200,7 @@ func (h Handle) Canceled() bool {
 	if h.eng == nil || h.gen == 0 {
 		return true
 	}
-	ev := &h.eng.events[h.id]
-	return ev.gen != h.gen || ev.pos < 0
+	return h.eng.events[h.id].gen != h.gen || h.eng.slots[h.id].in == inNone
 }
 
 // validateAt ensures a schedulable event time.
@@ -179,6 +223,7 @@ func (e *Engine) alloc() int32 {
 		return id
 	}
 	e.events = append(e.events, event{gen: 1})
+	e.slots = append(e.slots, slot{})
 	return int32(len(e.events) - 1)
 }
 
@@ -193,77 +238,8 @@ func (e *Engine) release(id int32) {
 	ev.dfn = nil
 	ev.data = Data{}
 	ev.label = ""
-	ev.pos = -1
+	e.slots[id].in = inNone
 	e.free = append(e.free, id)
-}
-
-// push inserts slot id (with at/seq already set) into the heap.
-func (e *Engine) push(id int32) {
-	e.heap = append(e.heap, id)
-	e.events[id].pos = int32(len(e.heap) - 1)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// less orders heap positions by (at, seq).
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[e.heap[i]], &e.events[e.heap[j]]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (e *Engine) swap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.events[e.heap[i]].pos = int32(i)
-	e.events[e.heap[j]].pos = int32(j)
-}
-
-func (e *Engine) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			return
-		}
-		e.swap(i, parent)
-		i = parent
-	}
-}
-
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		least := l
-		if r := l + 1; r < n && e.less(r, l) {
-			least = r
-		}
-		if !e.less(least, i) {
-			return
-		}
-		e.swap(i, least)
-		i = least
-	}
-}
-
-// removeAt deletes the heap entry at position pos, marking its slot
-// off-heap (pos = -1) without releasing it.
-func (e *Engine) removeAt(pos int) int32 {
-	id := e.heap[pos]
-	last := len(e.heap) - 1
-	if pos != last {
-		e.swap(pos, last)
-	}
-	e.heap = e.heap[:last]
-	e.events[id].pos = -1
-	if pos != last {
-		e.siftDown(pos)
-		e.siftUp(pos)
-	}
-	return id
 }
 
 // Schedule enqueues fn to run at time at. Scheduling in the past is an
@@ -299,7 +275,8 @@ func (e *Engine) ScheduleData(at Time, label string, fn DataFunc, d Data) (Handl
 	ev.dfn = fn
 	ev.data = d
 	ev.label = label
-	e.push(id)
+	e.place(id, at)
+	e.grow()
 	return Handle{id: id, gen: ev.gen, eng: e}, nil
 }
 
@@ -331,22 +308,32 @@ func (e *Engine) Cancel(h Handle) bool {
 	if h.eng != e || h.gen == 0 || int(h.id) >= len(e.events) {
 		return false
 	}
-	ev := &e.events[h.id]
-	if ev.gen != h.gen || ev.pos < 0 {
+	if e.events[h.id].gen != h.gen {
 		return false
 	}
-	e.removeAt(int(ev.pos))
+	switch s := e.slots[h.id]; s.in {
+	case inNear:
+		e.heapRemove(&e.near, int(s.pos))
+	case inWheel:
+		e.unlink(h.id)
+	case inFar:
+		e.heapRemove(&e.far, int(s.pos))
+	default:
+		return false
+	}
 	e.release(h.id)
 	return true
 }
 
 // Reset rewinds the engine to its newly constructed state — time 0, empty
 // queue, sequence counter 0, zero events processed — while keeping the
-// event slab, heap array and free list allocated for reuse. Every pending
-// event is released: slot generation counters survive the reset (they are
-// bumped, never rewound), so Handles issued before a Reset remain
+// event slab, heap arrays, wheel and free list allocated for reuse. Every
+// pending event is released: slot generation counters survive the reset
+// (they are bumped, never rewound), so Handles issued before a Reset remain
 // permanently canceled and can never cancel an event scheduled after it.
-// The configured event limit is retained.
+// The configured event limit, the lookahead span and the bucket count the
+// wheel grew to are retained (a pooled system re-sizes nothing); the queue
+// counters restart at zero.
 //
 // The slab-slot recycling order after a Reset differs from a fresh
 // engine's append order, but slot identity is invisible to execution:
@@ -355,20 +342,24 @@ func (e *Engine) Cancel(h Handle) bool {
 //
 // Reset must not be called while Run/RunContext is in flight.
 func (e *Engine) Reset() {
-	for _, id := range e.heap {
+	for id := e.unfileAll(); id >= 0; {
+		next := e.slots[id].next
 		e.release(id)
+		id = next
 	}
-	e.heap = e.heap[:0]
+	e.cur = 0
+	e.stats = QueueStats{}
 	e.seq = 0
 	e.setNow(0)
 	e.processed.Store(0)
 }
 
-// fire pops the root event and executes it. The slot is released before the
-// callback runs (the callback may reuse it for a new event; stale handles
-// are protected by the generation count).
+// fire pops the near heap's root and executes it. The slot is released
+// before the callback runs (the callback may reuse it for a new event; stale
+// handles are protected by the generation count).
 func (e *Engine) fire() {
-	id := e.removeAt(0)
+	id := e.near[0].id
+	e.heapRemove(&e.near, 0)
 	ev := &e.events[id]
 	e.setNow(ev.at)
 	dfn, d := ev.dfn, ev.data
@@ -404,7 +395,7 @@ func (e *Engine) RunContext(ctx context.Context, horizon Time) error {
 		return err
 	}
 	countdown := ctxCheckInterval
-	for len(e.heap) > 0 {
+	for len(e.near) > 0 || e.advance() {
 		countdown--
 		if countdown <= 0 {
 			if err := ctx.Err(); err != nil {
@@ -412,14 +403,14 @@ func (e *Engine) RunContext(ctx context.Context, horizon Time) error {
 			}
 			countdown = ctxCheckInterval
 		}
-		next := &e.events[e.heap[0]]
+		next := e.near[0]
 		if next.at > horizon {
 			break
 		}
 		if e.maxEvents > 0 && e.processed.Load()+1 > e.maxEvents {
-			id := e.removeAt(0)
-			e.setNow(e.events[id].at)
-			e.release(id)
+			e.heapRemove(&e.near, 0)
+			e.setNow(next.at)
+			e.release(next.id)
 			e.processed.Add(1)
 			return fmt.Errorf("%w: %d events", ErrEventLimit, e.processed.Load())
 		}
@@ -434,8 +425,8 @@ func (e *Engine) RunContext(ctx context.Context, horizon Time) error {
 // PeekTime returns the firing time of the next pending event, or +Inf when
 // the queue is empty.
 func (e *Engine) PeekTime() Time {
-	if len(e.heap) == 0 {
+	if len(e.near) == 0 && !e.advance() {
 		return math.Inf(1)
 	}
-	return e.events[e.heap[0]].at
+	return e.near[0].at
 }

@@ -190,6 +190,10 @@ func NewNetwork(eng *sim.Engine, g *graph.Graph, delays DelayModel) *Network {
 func (n *Network) Reset(delays DelayModel) {
 	n.delays = delays
 	n.d, n.u = delays.Bounds()
+	// Every delivery is due within d of the clock, so d is the window the
+	// engine's time wheel must cover; the 1/8 margin keeps a delay of
+	// exactly d (plus validateDelay's epsilon) inside it.
+	n.eng.SetLookahead(n.d * 9 / 8)
 	n.stats = Stats{}
 	clear(n.handlers)
 }
