@@ -30,7 +30,7 @@ func newCustomServer(t *testing.T, o jobs.Options, srv *server) (*httptest.Serve
 	t.Cleanup(mgr.Close)
 	sched := manifest.NewScheduler(mgr, ftgcs.DefaultRegistry)
 	t.Cleanup(sched.Close)
-	srv.mgr, srv.sched, srv.store, srv.reg = mgr, sched, o.Store, ftgcs.DefaultRegistry
+	srv.mgr, srv.sched, srv.store, srv.reg, srv.workers = mgr, sched, o.Store, ftgcs.DefaultRegistry, o.Workers
 	if srv.waitLimit == 0 {
 		srv.waitLimit = time.Minute
 	}

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +29,7 @@ func newTestServer(t *testing.T, o jobs.Options) (*httptest.Server, *jobs.Manage
 	t.Cleanup(mgr.Close)
 	sched := manifest.NewScheduler(mgr, ftgcs.DefaultRegistry)
 	t.Cleanup(sched.Close)
-	ts := httptest.NewServer(newHandler(&server{mgr: mgr, sched: sched, store: o.Store, reg: ftgcs.DefaultRegistry, waitLimit: time.Minute}))
+	ts := httptest.NewServer(newHandler(&server{mgr: mgr, sched: sched, store: o.Store, reg: ftgcs.DefaultRegistry, workers: o.Workers, waitLimit: time.Minute}))
 	t.Cleanup(ts.Close)
 	return ts, mgr
 }
@@ -771,5 +774,72 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if *stats.CacheLen != 1 {
 		t.Fatalf("cacheLen = %d, want 1: %s", *stats.CacheLen, body)
+	}
+}
+
+// TestServingProcs pins the reservation rule: one P more than there are
+// workers, and never fewer Ps than the host offers.
+func TestServingProcs(t *testing.T) {
+	for _, c := range []struct{ procs, workers, want int }{
+		{2, 2, 3},
+		{8, 2, 8},
+		{2, 1, 2},
+		{1, 1, 2},
+		{2, 4, 5},
+	} {
+		if got := servingProcs(c.procs, c.workers); got != c.want {
+			t.Errorf("servingProcs(%d, %d) = %d, want %d", c.procs, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestReserveServingPIdempotent: on a 2-P host with the default two
+// workers the reservation adds one P, resolves the sweep fan-out to the
+// host's two, and a second application changes neither.
+func TestReserveServingPIdempotent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var o jobs.Options
+	for i := 0; i < 2; i++ {
+		reserveServingP(&o)
+		if got := runtime.GOMAXPROCS(0); got != 3 {
+			t.Errorf("application %d: GOMAXPROCS = %d, want 3", i+1, got)
+		}
+		if o.Workers != 2 || o.SweepWorkers != 2 {
+			t.Errorf("application %d: Workers, SweepWorkers = %d, %d, want 2, 2", i+1, o.Workers, o.SweepWorkers)
+		}
+	}
+}
+
+// TestRunReservesServingP boots the real serving path at default flags
+// on a 2-P host and reads the reservation back from /metrics.
+func TestRunReservesServingP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out, w := io.Pipe()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, []string{"-addr", "127.0.0.1:0"}, w)
+		w.Close()
+	}()
+	line, err := bufio.NewReader(out).ReadString('\n')
+	if err != nil {
+		t.Fatalf("no address line: %v", err)
+	}
+	addr := strings.TrimPrefix(strings.TrimSpace(line), "ftgcs-serve listening on ")
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	resp.Body.Close()
+	for _, want := range []string{"\nftgcs_go_maxprocs 3\n", "\nftgcs_jobs_workers 2\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics output missing %q", strings.TrimSpace(want))
+		}
+	}
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }

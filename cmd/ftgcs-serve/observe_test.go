@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func newObserveServer(t *testing.T, o jobs.Options) (*httptest.Server, *jobs.Man
 	sched := manifest.NewScheduler(mgr, ftgcs.DefaultRegistry)
 	t.Cleanup(sched.Close)
 	srv := &server{mgr: mgr, sched: sched, store: o.Store, reg: ftgcs.DefaultRegistry,
-		waitLimit: time.Minute, watchPoll: 2 * time.Millisecond}
+		workers: o.Workers, waitLimit: time.Minute, watchPoll: 2 * time.Millisecond}
 	ts := httptest.NewServer(newHandler(srv))
 	t.Cleanup(ts.Close)
 	return ts, mgr
@@ -67,6 +68,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
+		}
+	}
+}
+
+// TestMetricsCapacityGauges: /metrics exposes the worker capacity and
+// GOMAXPROCS, so a slow hit can be told apart from a front end that had
+// no processor to run on.
+func TestMetricsCapacityGauges(t *testing.T) {
+	ts, _ := newObserveServer(t, jobs.Options{Workers: 3})
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body := readAll(t, resp)
+	for _, want := range []string{
+		"# TYPE ftgcs_jobs_workers gauge",
+		"\nftgcs_jobs_workers 3\n",
+		"# TYPE ftgcs_go_maxprocs gauge",
+		fmt.Sprintf("\nftgcs_go_maxprocs %d\n", runtime.GOMAXPROCS(0)),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics output missing %q", strings.TrimSpace(want))
 		}
 	}
 }

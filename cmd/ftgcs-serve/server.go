@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,6 +62,9 @@ type server struct {
 	// surfaced here only for stats.
 	store *cas.Store
 	reg   *ftgcs.Registry
+	// workers is the manager's worker count, exported as the
+	// ftgcs_jobs_workers capacity gauge.
+	workers int
 	// waitLimit bounds how long a ?wait=true request may block.
 	waitLimit time.Duration
 	// tel is the telemetry registry scraped by GET /metrics; derived from
@@ -131,6 +135,12 @@ func newHandler(s *server) http.Handler {
 		"Submissions admitted past the admission policy.")
 	s.rejected = s.tel.CounterVec("ftgcs_admission_rejected_total",
 		"Submissions rejected by the admission policy, by exhausted scope.", "scope")
+	s.tel.GaugeFunc("ftgcs_jobs_workers",
+		"Job workers, the capacity beside ftgcs_jobs_workers_busy.",
+		func() float64 { return float64(s.workers) })
+	s.tel.GaugeFunc("ftgcs_go_maxprocs",
+		"GOMAXPROCS: the scheduler Ps the job workers and the HTTP front end share.",
+		func() float64 { return float64(runtime.GOMAXPROCS(0)) })
 	if s.store != nil {
 		registerStoreMetrics(s.tel, s.store)
 	}

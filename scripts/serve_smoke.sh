@@ -11,7 +11,9 @@
 # leg scrapes /metrics around a submission (run counter moves, queue-wait
 # histogram fills, HTTP latency is labeled by route pattern), follows a
 # job over SSE until its terminal done event, and fetches its lifecycle
-# trace. Finally boots a
+# trace. The first server runs with GOMAXPROCS=2, the 2-vCPU host the
+# default two workers would fill, and /metrics must show the P the
+# server reserves for serving (ftgcs_go_maxprocs 3). Finally boots a
 # store-backed server, runs a whole manifest grid, restarts the process
 # on the same -store directory, and asserts the replay is served entirely
 # from disk with byte-identical results.
@@ -45,7 +47,9 @@ boot() {
   base="http://$addr"
 }
 
-boot "$tmp/serve.log"
+# Pin GOMAXPROCS so the serving-P reservation runs on hosts with more
+# CPUs than workers too (where it would leave GOMAXPROCS alone).
+GOMAXPROCS=2 boot "$tmp/serve.log"
 echo "server up at $base"
 
 curl -fsS "$base/v1/healthz" | grep -q '"status":"ok"'
@@ -118,6 +122,9 @@ qw=$(sed -n 's/^ftgcs_jobs_queue_wait_seconds_count //p' "$tmp/metrics2.txt")
 [ "${qw:-0}" -gt 0 ] || { echo "queue-wait histogram empty"; exit 1; }
 # The middleware labels requests by route pattern, never by raw URL.
 grep -q 'route="POST /v1/experiments"' "$tmp/metrics2.txt" || { echo "no HTTP latency sample"; exit 1; }
+# Two workers on two Ps: the server reserved a third P for serving.
+grep -qx 'ftgcs_jobs_workers 2' "$tmp/metrics2.txt" || { echo "ftgcs_jobs_workers is not 2:"; grep ftgcs_jobs_workers "$tmp/metrics2.txt"; exit 1; }
+grep -qx 'ftgcs_go_maxprocs 3' "$tmp/metrics2.txt" || { echo "ftgcs_go_maxprocs is not 3:"; grep ftgcs_go_maxprocs "$tmp/metrics2.txt"; exit 1; }
 
 # Watch a job over SSE: the stream must terminate with a done event
 # carrying the terminal state, and the trace endpoint must serve the
@@ -133,7 +140,7 @@ curl -fsS "$base/v1/experiments/$wid/trace" >"$tmp/w3.json"
 grep -q '"name":"submitted"' "$tmp/w3.json" && grep -q '"name":"done"' "$tmp/w3.json" \
   || { echo "trace missing lifecycle spans:"; cat "$tmp/w3.json"; exit 1; }
 
-echo "serve smoke OK: metrics moved with work, SSE watch ended terminal, trace served"
+echo "serve smoke OK: metrics moved with work, serving P reserved, SSE watch ended terminal, trace served"
 
 # --- Persistence leg: a manifest grid must survive a server restart. ---
 
