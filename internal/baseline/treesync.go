@@ -397,26 +397,11 @@ func (s *System) Now() float64 { return s.eng.Now() }
 // Diameter returns the hop diameter of the base graph.
 func (s *System) Diameter() int { return s.cfg.Base.Diameter() }
 
-// Summarize condenses the run exactly like core.System.Summarize: maxima
-// of every recorded skew series after the warmup prefix (−Inf for series
-// TreeSync does not record, e.g. node-level local skew). Together with
-// Now and Diameter this makes *System a ftgcs.Backend, so the E9 baseline
-// arms run through the standard Scenario/Sweep machinery.
+// Summarize condenses the run through core.Summarize, the same function
+// the FTGCS backend uses (−Inf for series TreeSync does not record, e.g.
+// node-level local skew). Together with Now and Diameter this makes
+// *System a ftgcs.Backend, so the E9 baseline arms run through the
+// standard Scenario/Sweep machinery.
 func (s *System) Summarize(warmup float64) core.Summary {
-	get := func(name string) float64 {
-		if ser := s.rec.Series(name); ser != nil {
-			return ser.MaxAfter(warmup)
-		}
-		return math.Inf(-1)
-	}
-	return core.Summary{
-		Horizon:          s.eng.Now(),
-		MaxIntraSkew:     get(core.SeriesIntraSkew),
-		MaxLocalCluster:  get(core.SeriesLocalCluster),
-		MaxLocalNode:     get(core.SeriesLocalNode),
-		MaxGlobal:        get(core.SeriesGlobal),
-		MaxMaxEstLag:     get(core.SeriesMaxEstLag),
-		MaxEstViolations: get(core.SeriesMaxEstViolations),
-		Events:           s.eng.Processed(),
-	}
+	return core.Summarize(s.rec, s.eng.Now(), s.eng.Processed(), warmup)
 }

@@ -227,7 +227,7 @@ func (in *Instance) Stats() Stats { return in.stats }
 // event data (instead of a method-value closure) keeps the per-round
 // scheduling allocation-free.
 const (
-	stepPulse int64 = iota
+	stepPulse int32 = iota
 	stepCompute
 	stepRoundEnd
 )
@@ -249,7 +249,7 @@ func boundaryEvent(_ *sim.Engine, d sim.Data) {
 // instance's logical clock reaches target, assuming the rate multipliers
 // stay fixed until then (which the round structure guarantees: δ and γ only
 // change at the boundaries this function schedules).
-func (in *Instance) scheduleAtLogical(target float64, label string, step int64) error {
+func (in *Instance) scheduleAtLogical(target float64, label string, step int32) error {
 	at, err := in.cfg.Clock.TimeWhen(in.eng.Now(), target)
 	if err != nil {
 		return fmt.Errorf("cluster: %s: %w", label, err)

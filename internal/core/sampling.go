@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"ftgcs/internal/gcs"
+	"ftgcs/internal/metrics"
 	"ftgcs/internal/sim"
 )
 
@@ -178,20 +179,27 @@ type Summary struct {
 // Summarize computes the run summary, excluding samples before warmup
 // (pass 0 to include everything).
 func (s *System) Summarize(warmup float64) Summary {
+	return Summarize(s.rec, s.eng.Now(), s.eng.Processed(), warmup)
+}
+
+// Summarize condenses a recorded run of either backend: the maximum of
+// every skew series after warmup (−Inf for a series rec does not hold),
+// with the run's horizon and event count.
+func Summarize(rec *metrics.Recorder, horizon float64, events uint64, warmup float64) Summary {
 	get := func(name string) float64 {
-		if ser := s.rec.Series(name); ser != nil {
+		if ser := rec.Series(name); ser != nil {
 			return ser.MaxAfter(warmup)
 		}
 		return math.Inf(-1)
 	}
 	return Summary{
-		Horizon:          s.eng.Now(),
+		Horizon:          horizon,
 		MaxIntraSkew:     get(SeriesIntraSkew),
 		MaxLocalCluster:  get(SeriesLocalCluster),
 		MaxLocalNode:     get(SeriesLocalNode),
 		MaxGlobal:        get(SeriesGlobal),
 		MaxMaxEstLag:     get(SeriesMaxEstLag),
 		MaxEstViolations: get(SeriesMaxEstViolations),
-		Events:           s.eng.Processed(),
+		Events:           events,
 	}
 }

@@ -2,8 +2,8 @@ package sim
 
 import "testing"
 
-// benchTick re-arms itself forever; F0 < 0 disables the horizon check in
-// tickData, so reuse that here with a large horizon instead.
+// benchTick re-arms itself one second later forever; the benchmarks bound
+// it with Run's horizon.
 func benchTick(e *Engine, d Data) {
 	e.MustScheduleData(e.Now()+1, "tick", benchTick, d)
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,12 +8,12 @@ import (
 )
 
 // tickData is a self-rescheduling DataFunc: it re-arms itself one second
-// later until the time in F0 is reached. Top-level so scheduling it is
-// allocation-free.
+// later until the time in I1 is reached (I1 < 0: never re-arms). Top-level
+// so scheduling it is allocation-free.
 func tickData(e *Engine, d Data) {
 	c := d.Ctx.(*int)
 	*c++
-	if e.Now()+1 <= d.F0 {
+	if e.Now()+1 <= float64(d.I1) {
 		e.MustScheduleData(e.Now()+1, "tick", tickData, d)
 	}
 }
@@ -238,35 +237,6 @@ func TestPoolStressAgainstModel(t *testing.T) {
 	}
 }
 
-// TestRunHonorsEventLimit: Run executes exactly the configured number of
-// events, fails with ErrEventLimit on the next one (which is consumed, not
-// fired), and resumes once the limit is lifted.
-func TestRunHonorsEventLimit(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 0; i < 5; i++ {
-		e.MustSchedule(float64(i+1), "s", func(*Engine) { fired++ })
-	}
-	e.SetEventLimit(3)
-	if err := e.Run(100); !errors.Is(err, ErrEventLimit) {
-		t.Fatalf("Run = %v, want ErrEventLimit", err)
-	}
-	if fired != 3 {
-		t.Errorf("Run executed %d events under a limit of 3", fired)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-
-	e.SetEventLimit(0)
-	if err := e.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 4 {
-		t.Errorf("fired = %d, want 4 after the limit is lifted", fired)
-	}
-}
-
 // TestRunZeroAllocSteadyState pins the tentpole invariant: once the pool is
 // warm, the schedule→fire cycle performs zero heap allocations per event —
 // for data-scheduled events and for closures, which ride in Data.Ctx.
@@ -282,7 +252,7 @@ func TestRunZeroAllocSteadyState(t *testing.T) {
 	}
 	arms := map[string]func(e *Engine, at Time){
 		"data": func(e *Engine, at Time) {
-			e.MustScheduleData(at, "tick", tickData, Data{Ctx: &count, F0: 1 << 20})
+			e.MustScheduleData(at, "tick", tickData, Data{Ctx: &count, I1: 1 << 20})
 		},
 		"closure": func(e *Engine, at Time) { e.MustSchedule(at, "tick", tick) },
 	}
@@ -319,21 +289,29 @@ func TestCancelRescheduleZeroAlloc(t *testing.T) {
 	}
 	e := NewEngine()
 	count := 0
-	h := e.MustScheduleData(1, "timer", tickData, Data{Ctx: &count, F0: -1})
+	h := e.MustScheduleData(1, "timer", tickData, Data{Ctx: &count, I1: -1})
 	avg := testing.AllocsPerRun(100, func() {
 		e.Cancel(h)
-		h = e.MustScheduleData(e.Now()+1, "timer", tickData, Data{Ctx: &count, F0: -1})
+		h = e.MustScheduleData(e.Now()+1, "timer", tickData, Data{Ctx: &count, I1: -1})
 	})
 	if avg != 0 {
 		t.Errorf("cancel+reschedule allocates %.2f per cycle, want 0", avg)
 	}
 }
 
-// TestEngineFillsCacheLines pins the Engine's size to a whole number of
-// cache lines: two engines run by different sweep workers must never share
-// one (see the padding field).
+// TestEngineFillsCacheLines pins the Engine's size to five cache lines: two
+// engines run by different sweep workers must never share one (see the
+// padding field). It also pins the slab layout, so a field added to the
+// hottest structs is a visible decision: an event is one cache line and its
+// payload half of one.
 func TestEngineFillsCacheLines(t *testing.T) {
-	if size := unsafe.Sizeof(Engine{}); size%64 != 0 {
-		t.Errorf("Engine is %d bytes, want a multiple of 64", size)
+	if size := unsafe.Sizeof(Engine{}); size != 320 {
+		t.Errorf("Engine is %d bytes, want 320 (five cache lines)", size)
+	}
+	if size := unsafe.Sizeof(event{}); size != 64 {
+		t.Errorf("event is %d bytes, want 64", size)
+	}
+	if size := unsafe.Sizeof(Data{}); size != 32 {
+		t.Errorf("Data is %d bytes, want 32", size)
 	}
 }

@@ -21,7 +21,7 @@ const (
 
 // slot is the queue's bookkeeping for one slab entry, kept in a dense array
 // beside the slab so that sifting and unlinking touch 16-byte records
-// instead of 96-byte events.
+// instead of 64-byte events.
 type slot struct {
 	pos        int32 // index in the near/far heap, or the bucket in the wheel
 	next, prev int32 // bucket list links (wheel only); -1 terminates

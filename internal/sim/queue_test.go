@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -29,6 +30,7 @@ type queueHarness struct {
 	e       *Engine
 	live    []modelEvent // sorted by (at, id)
 	handles []Handle     // by id
+	leads   []float64    // by id: a child's lead, < 0 for none
 	nextID  int
 	lastAt  Time
 	fired   int
@@ -59,7 +61,8 @@ func (q *queueHarness) lead(class byte, w uint16) Time {
 }
 
 // queueFire is the DataFunc of every harness event: I0 is the model id,
-// F0 ≥ 0 asks for a child F0 seconds after the firing.
+// and a lead ≥ 0 recorded for it asks for a child that much after the
+// firing.
 func queueFire(e *Engine, d Data) {
 	q := d.Ctx.(*queueHarness)
 	id := int(d.I0)
@@ -71,16 +74,17 @@ func queueFire(e *Engine, d Data) {
 	}
 	q.live = q.live[1:]
 	q.fired++
-	if d.F0 >= 0 {
-		q.schedule(e.Now()+d.F0, -1)
+	if lead := q.leads[id]; lead >= 0 {
+		q.schedule(e.Now()+lead, -1)
 	}
 }
 
 func (q *queueHarness) schedule(at Time, childLead float64) {
 	id := q.nextID
 	q.nextID++
-	h := q.e.MustScheduleData(at, "q", queueFire, Data{Ctx: q, I0: int64(id), F0: childLead})
+	h := q.e.MustScheduleData(at, "q", queueFire, Data{Ctx: q, I0: int32(id)})
 	q.handles = append(q.handles, h)
+	q.leads = append(q.leads, childLead)
 	q.lastAt = at
 	i := sort.Search(len(q.live), func(i int) bool { return q.live[i].at > at })
 	q.live = append(q.live, modelEvent{})
@@ -153,18 +157,23 @@ func (q *queueHarness) exec(ops []byte) {
 			}
 		case 4: // run to a horizon
 			q.run(q.e.Now() + q.lead(next(), next16()))
-		case 5: // peek, then schedule earlier than the peeked event
-			at := q.e.PeekTime()
-			want := math.Inf(1)
-			if len(q.live) > 0 {
-				want = q.live[0].at
+		case 5: // run to short of the next event, then schedule before it
+			frac := float64(next()) / 256
+			if len(q.live) == 0 || q.live[0].at <= q.e.Now() {
+				break
 			}
-			if at != want {
-				q.t.Fatalf("PeekTime = %v, model's minimum is %v", at, want)
+			first := q.live[0].at
+			horizon := q.e.Now() + (first-q.e.Now())*frac
+			if horizon >= first { // the gap is a few ulps of the clock
+				horizon = q.e.Now()
 			}
-			if frac := float64(next()) / 256; at > q.e.Now() && !math.IsInf(at, 1) {
-				q.schedule(q.e.Now()+(at-q.e.Now())*frac, -1)
+			fired := q.fired
+			q.run(horizon) // may turn the wheel past the clock
+			if q.fired != fired || q.e.Now() != horizon {
+				q.t.Fatalf("Run(%v) before the minimum %v fired %d events, clock %v",
+					horizon, first, q.fired-fired, q.e.Now())
 			}
+			q.schedule(q.e.Now()+(first-q.e.Now())*frac, -1)
 		case 6: // a burst of 300 inside the window, enough for two growths
 			width := q.e.span
 			if width == 0 {
@@ -203,7 +212,7 @@ func TestQueueOrderAgainstSortedModel(t *testing.T) {
 	for _, span := range queueSpans {
 		for seed := int64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			// Open with a burst: later ones may follow a peek that turned
+			// Open with a burst: later ones may follow a run that turned
 			// the wheel past the clock, and then they file near.
 			ops := append(make([]byte, 0, 2048), 6, 1, 2)
 			for len(ops) < 2000 {
@@ -238,11 +247,12 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{})
 	// span 1e-3, a burst, run 100 s
 	f.Add([]byte{7, 3, 6, 0, 1, 4, 4, 255, 255})
-	// span 0.5 set on a non-empty queue, an event with a child, peek, reset
+	// span 0.5 set on a non-empty queue, an event with a child, a run short
+	// of the next event, reset
 	f.Add([]byte{0, 3, 128, 0, 7, 5, 0, 0x33, 64, 0, 5, 64, 7, 0, 0, 2, 0, 0})
 	// span 10, exact ties, a cancel, span switched off mid-run, a burst
 	f.Add([]byte{7, 7, 0, 3, 9, 9, 0, 1, 0, 0, 0, 1, 0, 0, 3, 0, 1, 4, 3, 128, 0, 7, 1, 6, 0, 7})
-	// span 1e3, two bursts, runs, a peek, a cancel
+	// span 1e3, two bursts, runs, a run short of the next event, a cancel
 	f.Add([]byte{7, 9, 6, 9, 9, 6, 1, 1, 4, 2, 0, 0, 5, 200, 3, 0, 7, 4, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
@@ -348,12 +358,14 @@ func TestQueueTickEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, at := range []Time{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := e.ScheduleData(at, "bad", tickData, Data{}); err == nil || errors.Is(err, ErrPast) {
-			t.Errorf("ScheduleData(%v) = %v, want the invalid-time error", at, err)
+		_, err := e.ScheduleData(at, "bad", tickData, Data{})
+		if err == nil || errors.Is(err, ErrPast) || !strings.Contains(err.Error(), "(bad)") {
+			t.Errorf("ScheduleData(%v) = %v, want the invalid-time error naming its label", at, err)
 		}
 	}
-	if _, err := e.ScheduleData(9, "past", tickData, Data{}); !errors.Is(err, ErrPast) {
-		t.Errorf("ScheduleData in the past = %v, want ErrPast", err)
+	_, err := e.ScheduleData(9, "past", tickData, Data{})
+	if !errors.Is(err, ErrPast) || !strings.Contains(err.Error(), "(past)") {
+		t.Errorf("ScheduleData in the past = %v, want ErrPast naming its label", err)
 	}
 	if e.Pending() != 0 {
 		t.Errorf("rejected events were filed: Pending = %d", e.Pending())
@@ -403,7 +415,7 @@ func TestQueueSetLookahead(t *testing.T) {
 	for _, c := range []struct{ set, again float64 }{{0, 0}, {0, math.NaN()}, {0, -1}, {0, math.Inf(1)}, {3, 3}} {
 		e := NewEngine()
 		e.SetLookahead(c.set)
-		e.MustScheduleData(1, "t", tickData, Data{Ctx: new(int), F0: -1})
+		e.MustScheduleData(1, "t", tickData, Data{Ctx: new(int), I1: -1})
 		before := e.QueueStats()
 		if avg := testing.AllocsPerRun(10, func() { e.SetLookahead(c.again) }); avg != 0 {
 			t.Errorf("SetLookahead(%v) after %v allocates %.1f times, want 0", c.again, c.set, avg)
@@ -424,13 +436,13 @@ func TestQueueGrowthIsBounded(t *testing.T) {
 	count := 0
 	start := time.Now()
 	for i := 0; i < 100000; i++ {
-		e.MustScheduleData(0.5+float64(i)*1e-12, "burst", tickData, Data{Ctx: &count, F0: -1})
+		e.MustScheduleData(0.5+float64(i)*1e-12, "burst", tickData, Data{Ctx: &count, I1: -1})
 	}
 	if got := e.QueueStats().Buckets; got != maxBuckets {
 		t.Fatalf("Buckets = %d after the burst, want the cap %d", got, maxBuckets)
 	}
 	for i := 0; i < 5000; i++ {
-		e.MustScheduleData(1+float64(i)*0.9, "tail", tickData, Data{Ctx: &count, F0: -1})
+		e.MustScheduleData(1+float64(i)*0.9, "tail", tickData, Data{Ctx: &count, I1: -1})
 	}
 	if err := e.Run(1e4); err != nil {
 		t.Fatal(err)
@@ -463,9 +475,9 @@ func TestWheelZeroAllocSteadyState(t *testing.T) {
 	e.SetLookahead(2)
 	count := 0
 	for i := 0; i < 300; i++ {
-		e.MustScheduleData(float64(i)/300, "tick", tickData, Data{Ctx: &count, F0: 1 << 20})
+		e.MustScheduleData(float64(i)/300, "tick", tickData, Data{Ctx: &count, I1: 1 << 20})
 	}
-	far := e.MustScheduleData(1<<19, "timer", tickData, Data{Ctx: &count, F0: -1})
+	far := e.MustScheduleData(1<<19, "timer", tickData, Data{Ctx: &count, I1: -1})
 	if err := e.Run(64); err != nil {
 		t.Fatal(err)
 	}
@@ -479,8 +491,8 @@ func TestWheelZeroAllocSteadyState(t *testing.T) {
 		}
 		next++
 		e.Cancel(far)
-		far = e.MustScheduleData(1<<19, "timer", tickData, Data{Ctx: &count, F0: -1})
-		h := e.MustScheduleData(next+0.5, "timer", tickData, Data{Ctx: &count, F0: -1})
+		far = e.MustScheduleData(1<<19, "timer", tickData, Data{Ctx: &count, I1: -1})
+		h := e.MustScheduleData(next+0.5, "timer", tickData, Data{Ctx: &count, I1: -1})
 		e.Cancel(h)
 	})
 	if avg != 0 {

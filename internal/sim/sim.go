@@ -38,9 +38,9 @@
 // entry outside the near heap (tick > cur) is strictly later than every
 // entry inside it (tick ≤ cur), and the near heap is a proper heap over
 // (at, seq) — hence the root of the near heap is the minimum of everything
-// pending, whatever the span and the bucket count are. A peek that turns
-// the wheel past the clock is harmless for the same reason: a later push
-// with tick ≤ cur lands in the near heap.
+// pending, whatever the span and the bucket count are. A run that turns
+// the wheel past the clock and then stops at its horizon is harmless for
+// the same reason: a later push with tick ≤ cur lands in the near heap.
 //
 // The span is the only input (SetLookahead; transport.Network derives it
 // from the delay model's bound d) and the bucket count sizes itself like a
@@ -61,16 +61,14 @@ type Time = float64
 
 // Data is the payload of a data-scheduled event (see ScheduleData). It is
 // sized so the common simulation payloads — a receiver pointer plus a few
-// small integers/floats — fit without boxing: storing a pointer (or func)
-// in Ctx and calling a top-level DataFunc allocates nothing.
+// small integers — fit without boxing: storing a pointer (or func) in Ctx
+// and calling a top-level DataFunc allocates nothing.
 type Data struct {
 	// Ctx carries the receiver (a pointer or func value; pointer-shaped
 	// values do not allocate when stored in an interface).
 	Ctx any
 	// I0, I1, I2 carry small integer payloads (node IDs, kinds, codes).
-	I0, I1, I2 int64
-	// F0 carries a float payload.
-	F0 float64
+	I0, I1, I2 int32
 }
 
 // DataFunc is the callback of a data-scheduled event. Implementations
@@ -80,12 +78,11 @@ type DataFunc func(e *Engine, d Data)
 
 // event is one pooled slab entry; dfn is non-nil while the slot is live.
 type event struct {
-	at    Time
-	seq   uint64 // insertion order, breaks time ties deterministically
-	dfn   DataFunc
-	data  Data
-	label string
-	gen   uint32 // bumped on every release; stale Handles never match
+	at   Time
+	seq  uint64 // insertion order, breaks time ties deterministically
+	dfn  DataFunc
+	data Data
+	gen  uint32 // bumped on every release; stale Handles never match
 }
 
 // Handle identifies a scheduled event so it can be canceled. The zero
@@ -131,16 +128,14 @@ type Engine struct {
 	// nowBits mirrors now (as Float64bits) for cross-goroutine Progress
 	// reads; the event loop is the only writer.
 	nowBits atomic.Uint64
-	// maxEvents aborts runaway simulations; 0 means no limit.
-	maxEvents uint64
 
 	stats QueueStats
 
-	// Pad 288 bytes of fields to five full cache lines (320 bytes): the
+	// Pad 280 bytes of fields to five full cache lines (320 bytes): the
 	// loop writes now, processed and nowBits on every event, and a Sweep
 	// runs one engine per worker, so engines allocated side by side must
 	// not share a line (measured: +12 % per sweep batch without it).
-	_ [32]byte
+	_ [40]byte
 }
 
 // NewEngine returns an engine with the clock at time 0.
@@ -181,14 +176,8 @@ func (e *Engine) Progress() Progress {
 	}
 }
 
-// SetEventLimit aborts Run with ErrEventLimit after n events (0 = unlimited).
-func (e *Engine) SetEventLimit(n uint64) { e.maxEvents = n }
-
 // Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return len(e.near) + e.wheelN + len(e.far) }
-
-// ErrEventLimit is returned by Run when the configured event limit is hit.
-var ErrEventLimit = errors.New("sim: event limit exceeded")
 
 // ErrPast is returned when an event is scheduled before the current time.
 var ErrPast = errors.New("sim: schedule time is in the past")
@@ -237,7 +226,6 @@ func (e *Engine) release(id int32) {
 	}
 	ev.dfn = nil
 	ev.data = Data{}
-	ev.label = ""
 	e.slots[id].in = inNone
 	e.free = append(e.free, id)
 }
@@ -274,7 +262,6 @@ func (e *Engine) ScheduleData(at Time, label string, fn DataFunc, d Data) (Handl
 	e.seq++
 	ev.dfn = fn
 	ev.data = d
-	ev.label = label
 	e.place(id, at)
 	e.grow()
 	return Handle{id: id, gen: ev.gen, eng: e}, nil
@@ -331,9 +318,8 @@ func (e *Engine) Cancel(h Handle) bool {
 // pending event is released: slot generation counters survive the reset
 // (they are bumped, never rewound), so Handles issued before a Reset remain
 // permanently canceled and can never cancel an event scheduled after it.
-// The configured event limit, the lookahead span and the bucket count the
-// wheel grew to are retained (a pooled system re-sizes nothing); the queue
-// counters restart at zero.
+// The lookahead span and the bucket count the wheel grew to are retained
+// (a pooled system re-sizes nothing); the queue counters restart at zero.
 //
 // The slab-slot recycling order after a Reset differs from a fresh
 // engine's append order, but slot identity is invisible to execution:
@@ -379,9 +365,9 @@ func (e *Engine) Run(horizon Time) error {
 }
 
 // RunContext executes events in timestamp order until the queue is empty,
-// the horizon is passed, ctx is done, or the event limit is exceeded. The
-// engine time is left at min(horizon, last event time); events scheduled
-// after the horizon remain queued.
+// the horizon is passed or ctx is done. The engine time is left at
+// min(horizon, last event time); events scheduled after the horizon remain
+// queued.
 //
 // Canceling ctx is the only way to stop a run: the context is polled on
 // entry and every ctxCheckInterval events, and a done context aborts the
@@ -403,16 +389,8 @@ func (e *Engine) RunContext(ctx context.Context, horizon Time) error {
 			}
 			countdown = ctxCheckInterval
 		}
-		next := e.near[0]
-		if next.at > horizon {
+		if e.near[0].at > horizon {
 			break
-		}
-		if e.maxEvents > 0 && e.processed.Load()+1 > e.maxEvents {
-			e.heapRemove(&e.near, 0)
-			e.setNow(next.at)
-			e.release(next.id)
-			e.processed.Add(1)
-			return fmt.Errorf("%w: %d events", ErrEventLimit, e.processed.Load())
 		}
 		e.fire()
 	}
@@ -420,13 +398,4 @@ func (e *Engine) RunContext(ctx context.Context, horizon Time) error {
 		e.setNow(horizon)
 	}
 	return nil
-}
-
-// PeekTime returns the firing time of the next pending event, or +Inf when
-// the queue is empty.
-func (e *Engine) PeekTime() Time {
-	if len(e.near) == 0 && !e.advance() {
-		return math.Inf(1)
-	}
-	return e.near[0].at
 }

@@ -171,32 +171,6 @@ func TestSameTimeScheduleRunsInSameInstant(t *testing.T) {
 	}
 }
 
-func TestEventLimit(t *testing.T) {
-	e := NewEngine()
-	e.SetEventLimit(5)
-	var tick func(*Engine)
-	tick = func(e *Engine) {
-		e.MustSchedule(e.Now()+1, "tick", tick)
-	}
-	e.MustSchedule(0, "tick", tick)
-	err := e.Run(math.Inf(1) - 1)
-	if err == nil {
-		t.Fatal("expected event-limit error")
-	}
-}
-
-func TestPeekTime(t *testing.T) {
-	e := NewEngine()
-	if got := e.PeekTime(); !math.IsInf(got, 1) {
-		t.Errorf("empty PeekTime = %v, want +Inf", got)
-	}
-	e.MustSchedule(3, "x", func(*Engine) {})
-	e.MustSchedule(1, "y", func(*Engine) {})
-	if got := e.PeekTime(); got != 1 {
-		t.Errorf("PeekTime = %v, want 1", got)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42, 7)
 	b := NewRNG(42, 7)

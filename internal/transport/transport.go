@@ -259,7 +259,7 @@ func (n *Network) scheduleDelivery(t, delay float64, from, to graph.NodeID, kind
 	}
 	n.stats.Sends++
 	_, err := n.eng.ScheduleData(t+delay, "pulse", deliverEvent, sim.Data{
-		Ctx: n, I0: int64(from), I1: int64(to), I2: int64(kind),
+		Ctx: n, I0: int32(from), I1: int32(to), I2: int32(kind),
 	})
 	return err
 }

@@ -267,7 +267,7 @@ func BenchmarkBroadcastClique(b *testing.B) {
 		if err := net.Broadcast(eng.Now(), 0, PulseClock); err != nil {
 			b.Fatal(err)
 		}
-		if err := eng.Run(eng.PeekTime() + 1); err != nil {
+		if err := eng.Run(eng.Now() + 1); err != nil {
 			b.Fatal(err)
 		}
 	}
