@@ -87,7 +87,7 @@ func WithBackend(build BackendBuilder) Option {
 func (s *Scenario) buildBackend() (*System, error) {
 	p, err := s.resolveParams()
 	if err != nil {
-		return nil, fmt.Errorf("ftgcs: %w", err)
+		return nil, err
 	}
 	b, err := s.backend(s.seed, p)
 	if err != nil {

@@ -488,6 +488,45 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestUnbuildableSpecIs400: a spec the model cannot build is a 400 at
+// POST on both submission routes — never an accepted job that fails on a
+// worker and is then served as a cached failure. No job is created and
+// no run is spent.
+func TestUnbuildableSpecIs400(t *testing.T) {
+	ts, mgr := newTestServer(t, jobs.Options{})
+
+	const line = `"topology": {"name": "line", "size": 2}, "horizon": {"seconds": 3}`
+	for _, tc := range []struct{ name, fields, want string }{
+		{"eps", `"constants": {"eps": 0.7}`, "must be in (0, 1/2)"},
+		{"c2 infeasible", `"constants": {"c2": 1e6}`, "infeasible"},
+		{"c2 negative", `"constants": {"c2": -1}`, "c2=-1"},
+		{"rho infeasible", `"physical": {"rho": 0.2}`, "infeasible"},
+		{"k < 3f+1", `"clusters": {"k": 4, "f": 2}`, "3f+1"},
+		{"two faults on one node", `"faults": [{"node": 0, "attack": "silent"}, {"node": 0, "crashAt": 1}]`, "duplicate fault"},
+		{"attack plant on a faulty node", `"attack": {"name": "silent"}, "faults": [{"node": 3, "crashAt": 1}]`, "duplicate fault"},
+	} {
+		spec := `{` + line + `, ` + tc.fields + `}`
+		for _, route := range []struct{ path, body string }{
+			{"/v1/experiments", `{"spec": ` + spec + `}`},
+			{"/v1/manifests", `{"base": ` + spec + `, "arms": [{"name": "a"}]}`},
+		} {
+			code, body := post(t, ts, route.path, route.body)
+			if code != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.want)) {
+				t.Errorf("%s on %s: %d %s, want 400 containing %q", tc.name, route.path, code, body, tc.want)
+			}
+			if bytes.Contains(body, []byte("retryable")) {
+				t.Errorf("%s on %s: a spec error must not be retryable: %s", tc.name, route.path, body)
+			}
+		}
+	}
+	if s := mgr.Stats(); s.Submitted != 0 || s.Runs != 0 {
+		t.Fatalf("unbuildable specs reached the manager: %+v", s)
+	}
+	if _, metrics := get(t, ts, "/metrics"); !bytes.Contains(metrics, []byte("ftgcs_jobs_runs_total 0")) {
+		t.Fatalf("unbuildable specs consumed a run:\n%s", metrics)
+	}
+}
+
 // TestOversizedBodyIs413: both submission routes stop reading at
 // maxBodyBytes and answer 413 with the usual error JSON, however
 // well-formed the oversized document is.

@@ -546,7 +546,7 @@ func (s *server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 		"drifts":     s.reg.DriftNames(),
 		"delays":     s.reg.DelayNames(),
 		"attacks":    s.reg.AttackNames(),
-		"presets":    []string{spec.DefaultPreset, "paper-strict"},
+		"presets":    []string{ftgcs.PresetPractical.String(), ftgcs.PresetPaperStrict.String()},
 	})
 }
 

@@ -89,24 +89,28 @@ type Config struct {
 	StaggerStart float64
 }
 
-// validate checks structural requirements.
-func (c *Config) validate() error {
+// Validate checks that the configuration can be built: the cluster
+// geometry tolerates F (k ≥ 3f+1), the parameters are derived, and every
+// fault targets a distinct node of the augmented network. NewSystem
+// calls it; ftgcs.Scenario.Validate calls it without building.
+func (c *Config) Validate() error {
 	if c.Base == nil || c.Base.N() == 0 {
 		return fmt.Errorf("core: empty base graph")
 	}
 	if c.K < 1 {
-		return fmt.Errorf("core: cluster size K=%d < 1", c.K)
+		return fmt.Errorf("core: cluster size k=%d < 1", c.K)
 	}
 	if c.F < 0 || (c.F > 0 && c.K < 3*c.F+1) {
-		return fmt.Errorf("core: K=%d cannot tolerate F=%d (need K ≥ 3F+1)", c.K, c.F)
+		return fmt.Errorf("core: k=%d cannot tolerate f=%d (need k ≥ 3f+1)", c.K, c.F)
 	}
-	if c.Params.T <= 0 {
+	if !(c.Params.T > 0) {
 		return fmt.Errorf("core: parameters not derived (T=%v)", c.Params.T)
 	}
-	seen := make(map[graph.NodeID]bool)
+	nodes := c.Base.N() * c.K
+	seen := make(map[graph.NodeID]bool, len(c.Faults))
 	for _, f := range c.Faults {
-		if f.Node < 0 || f.Node >= c.Base.N()*c.K {
-			return fmt.Errorf("core: fault node %d out of range", f.Node)
+		if f.Node < 0 || f.Node >= nodes {
+			return fmt.Errorf("core: fault node %d outside [0,%d)", f.Node, nodes)
 		}
 		if seen[f.Node] {
 			return fmt.Errorf("core: duplicate fault spec for node %d", f.Node)

@@ -96,7 +96,7 @@ type System struct {
 // writes the initial run state, so a fresh system is a reset one by
 // construction.
 func NewSystem(cfg Config) (*System, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	aug, err := graph.Augment(cfg.Base, cfg.K)

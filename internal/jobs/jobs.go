@@ -34,12 +34,12 @@ type job struct {
 	id       string
 	specHash string
 	req      Request // normalized
-	// topo is the spec's resolved topology, built once by Submit's
-	// validation: every replicate runs this graph (a replication sweep
-	// measures seed variance on ONE experiment, so randomized families
-	// must not redraw per seed). Cleared by finish so cached jobs do not
-	// pin graphs in memory.
-	topo *ftgcs.Topology
+	// sc is the spec's scenario, compiled (and so validated) once by
+	// Submit: every replicate is this scenario with its own seed, on its
+	// one topology draw (a replication sweep measures seed variance on
+	// ONE experiment, so randomized families must not redraw per seed).
+	// Cleared by finish so cached jobs do not pin graphs in memory.
+	sc   *ftgcs.Scenario
 	done chan struct{}
 
 	// trace is the job's lifecycle record (submitted → queued → building
@@ -401,7 +401,7 @@ func (m *Manager) SubmitPrepared(p PreparedRequest) (JobStatus, error) {
 	trace := telemetry.NewTrace()
 	trace.Phase("submitted")
 
-	topo, err := p.req.Spec.Resolve(m.reg)
+	sc, err := p.req.Spec.Compile(m.reg)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -422,7 +422,7 @@ func (m *Manager) SubmitPrepared(p PreparedRequest) (JobStatus, error) {
 		return st, nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{id: p.id, specHash: p.specHash, req: p.req, topo: topo, trace: trace, state: StateQueued, done: make(chan struct{}), ctx: ctx, cancel: cancel}
+	j := &job{id: p.id, specHash: p.specHash, req: p.req, sc: sc, trace: trace, state: StateQueued, done: make(chan struct{}), ctx: ctx, cancel: cancel}
 	select {
 	case m.queue <- j:
 	default:
@@ -798,7 +798,7 @@ func (m *Manager) finishLocked(j *job, res *Result, payload *resultPayload, err 
 		// feed the run-duration histogram.
 		runDur.Observe(time.Since(j.startedAt).Seconds())
 	}
-	j.topo = nil // the cache keeps jobs around; don't pin their graphs too
+	j.sc = nil   // the cache keeps jobs around; don't pin their graphs too
 	j.prog = nil // nor their in-flight systems (the trace stays: it is
 	// the job's durable lifecycle record, served by /trace)
 	delete(m.active, j.id)
@@ -822,29 +822,23 @@ func (m *Manager) finishLocked(j *job, res *Result, payload *resultPayload, err 
 	close(j.done)
 }
 
-// execute compiles and runs the request's scenarios through ftgcs.Sweep.
-// Everything here is deterministic in the request, so two executions of
-// the same request produce identical Results; cancellation and the run
-// budget can only truncate a run, never perturb what completed.
+// execute runs the job's scenario once per replicate seed through
+// ftgcs.Sweep; every replicate shares the one topology draw Submit
+// compiled. Everything here is deterministic in the request, so two
+// executions of the same request produce identical Results; cancellation
+// and the run budget can only truncate a run, never perturb what
+// completed.
 func (m *Manager) execute(j *job) (*Result, error) {
 	n := j.req.Replicate
 	scenarios := make([]*ftgcs.Scenario, n)
 	seeds := make([]int64, n)
 	for i := range scenarios {
-		s := j.req.Spec.WithSeed(j.req.Spec.Seed + int64(i))
-		seeds[i] = s.Seed
-		// j.topo pins every replicate to the base spec's graph (resolved
-		// once at Submit): a replication sweep measures seed variance on
-		// one experiment, so randomized families must not redraw per
-		// seed — and deterministic ones skip n redundant builds.
-		sc, err := s.CompileWith(m.reg, j.topo)
-		if err != nil {
-			return nil, err
-		}
+		seeds[i] = j.req.Spec.Seed + int64(i)
+		opts := []ftgcs.Option{ftgcs.WithSeed(seeds[i])}
 		if j.req.IncludeSeries {
-			sc = sc.With(ftgcs.WithObserver(captureSeries))
+			opts = append(opts, ftgcs.WithObserver(captureSeries))
 		}
-		scenarios[i] = sc
+		scenarios[i] = j.sc.With(opts...)
 	}
 	runCtx := j.ctx
 	if m.runLimit > 0 {

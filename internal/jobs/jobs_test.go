@@ -163,7 +163,9 @@ func TestReplicationPinsTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := s.WithSeed(4).Compile(nil)
+	s4 := s
+	s4.Seed = 4
+	sc, err := s4.Compile(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestReplicationPinsTopology(t *testing.T) {
 
 	// And it must NOT match seed 4's own topology draw (the behavior
 	// this test guards against).
-	sc4, err := s.WithSeed(4).Compile(nil)
+	sc4, err := s4.Compile(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,19 +310,14 @@ type Expansion struct {
 // ftgcs.DefaultRegistry). Like spec.Validate, failures name what is
 // wrong and, for registry lookups, what is available.
 func (m Manifest) Validate(reg *ftgcs.Registry) error {
-	_, err := m.expand(reg, true)
+	_, err := m.Expand(reg)
 	return err
 }
 
 // Expand validates and expands the manifest into its deduplicated job
-// set and arm plan.
+// set and arm plan. Every unique expanded spec is validated against the
+// registry, so a point the model cannot build fails the expansion.
 func (m Manifest) Expand(reg *ftgcs.Registry) (*Expansion, error) {
-	return m.expand(reg, true)
-}
-
-// expand does the structural walk; validateSpecs additionally validates
-// every unique expanded spec against the registry.
-func (m Manifest) expand(reg *ftgcs.Registry, validateSpecs bool) (*Expansion, error) {
 	n := m.Normalize()
 	if n.Version != Version {
 		return nil, fmt.Errorf("manifest: unsupported version %d (current %d)", n.Version, Version)
@@ -372,10 +367,8 @@ func (m Manifest) expand(reg *ftgcs.Registry, validateSpecs bool) (*Expansion, e
 			pt.ID = jid
 			if _, dup := seen[jid]; !dup {
 				seen[jid] = len(exp.Jobs)
-				if validateSpecs {
-					if err := pt.Request.Spec.Validate(reg); err != nil {
-						return nil, fmt.Errorf("manifest: arm %q, job %q: %w", a.Name, pt.Name, err)
-					}
+				if err := pt.Request.Spec.Validate(reg); err != nil {
+					return nil, fmt.Errorf("manifest: arm %q, job %q: %w", a.Name, pt.Name, err)
 				}
 				exp.Jobs = append(exp.Jobs, pt)
 			}

@@ -331,6 +331,11 @@ func TestExpandErrors(t *testing.T) {
 		{"invalid spec", Manifest{Base: quickBase(), Arms: []Arm{{
 			Name: "a", Axes: []Axis{{Param: "topology.name", Strings: []string{"möbius"}}},
 		}}}, "möbius"},
+		// A point the model cannot build (ε outside (0, 1/2)) fails the
+		// expansion, naming the arm and the job.
+		{"unbuildable point", Manifest{Base: quickBase(), Arms: []Arm{{
+			Name: "a", Axes: []Axis{{Param: "constants.eps", Floats: []float64{0.25, 0.7}}},
+		}}}, `arm "a", job "a/constants.eps=0.7": ftgcs: params: invalid input: eps=0.7 must be in (0, 1/2)`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -124,8 +124,12 @@ type Params struct {
 // Errors returned by Derive.
 var (
 	ErrInfeasible = errors.New("params: contraction factor α ≥ 1 (parameters infeasible; reduce ρ or relax ε/c₂)")
-	ErrBadInput   = errors.New("params: invalid physical parameters")
+	ErrBadInput   = errors.New("params: invalid input")
 )
+
+// positive reports x ∈ (0, +Inf): false for zero, negatives, NaN and
+// infinities, so a non-finite input never reaches the derivation.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // regimeAlphaBeta evaluates the paper's Eq. (12) for one execution regime.
 //
@@ -142,18 +146,24 @@ func regimeAlphaBeta(zeta, zetaMax, theta, thetaG, c1, d, u float64) (alpha, bet
 
 // Derive computes all algorithm constants from a Config.
 func Derive(cfg Config) (Params, error) {
-	if cfg.Rho <= 0 || cfg.Delay <= 0 || cfg.Uncertainty <= 0 || cfg.Uncertainty > cfg.Delay {
-		return Params{}, fmt.Errorf("%w: rho=%v d=%v U=%v", ErrBadInput, cfg.Rho, cfg.Delay, cfg.Uncertainty)
+	if !positive(cfg.Rho) || !positive(cfg.Delay) || !positive(cfg.Uncertainty) {
+		return Params{}, fmt.Errorf("%w: ρ=%v d=%v U=%v must be positive and finite", ErrBadInput, cfg.Rho, cfg.Delay, cfg.Uncertainty)
+	}
+	if cfg.Uncertainty > cfg.Delay {
+		return Params{}, fmt.Errorf("%w: uncertainty U=%v exceeds delay d=%v", ErrBadInput, cfg.Uncertainty, cfg.Delay)
 	}
 	c2 := cfg.C2
 	if c2 == 0 {
 		c2 = 32
 	}
+	if !positive(c2) {
+		return Params{}, fmt.Errorf("%w: c2=%v must be non-negative and finite", ErrBadInput, c2)
+	}
 	eps := cfg.Eps
 	if eps == 0 {
 		eps = 1.0 / 4096
 	}
-	if eps <= 0 || eps >= 0.5 {
+	if !(eps > 0 && eps < 0.5) {
 		return Params{}, fmt.Errorf("%w: eps=%v must be in (0, 1/2)", ErrBadInput, eps)
 	}
 	kStable := cfg.KStable

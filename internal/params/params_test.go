@@ -1,7 +1,9 @@
 package params
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -65,21 +67,39 @@ func TestDerivePaperStrictSmallRho(t *testing.T) {
 	}
 }
 
+// TestDeriveInputValidation: every input outside Derive's domain is
+// ErrBadInput, never a NaN constant or a misleading infeasibility. The
+// NaN rows pass `x <= 0` guards, which is why the guards are written as
+// `!(x > 0)`.
 func TestDeriveInputValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	tests := []struct {
 		name string
 		cfg  Config
+		want string
 	}{
-		{"zero rho", Config{Rho: 0, Delay: 1e-3, Uncertainty: 1e-4}},
-		{"negative rho", Config{Rho: -1, Delay: 1e-3, Uncertainty: 1e-4}},
-		{"zero delay", Config{Rho: 1e-4, Delay: 0, Uncertainty: 1e-4}},
-		{"U > d", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 2e-3}},
-		{"zero U", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 0}},
-		{"eps too big", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 1e-4, Eps: 0.6}},
+		{"zero rho", Config{Rho: 0, Delay: 1e-3, Uncertainty: 1e-4}, "must be positive"},
+		{"negative rho", Config{Rho: -1, Delay: 1e-3, Uncertainty: 1e-4}, "must be positive"},
+		{"zero delay", Config{Rho: 1e-4, Delay: 0, Uncertainty: 1e-4}, "must be positive"},
+		{"U > d", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 2e-3}, "exceeds delay"},
+		{"zero U", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 0}, "must be positive"},
+		{"eps too big", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 1e-4, Eps: 0.6}, "must be in (0, 1/2)"},
+		{"NaN rho", Config{Rho: nan, Delay: 1e-3, Uncertainty: 1e-4}, "must be positive"},
+		{"Inf rho", Config{Rho: inf, Delay: 1e-3, Uncertainty: 1e-4}, "must be positive"},
+		{"NaN delay", Config{Rho: 1e-4, Delay: nan, Uncertainty: 1e-4}, "must be positive"},
+		{"Inf delay", Config{Rho: 1e-4, Delay: inf, Uncertainty: 1e-4}, "must be positive"},
+		{"NaN U", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: nan}, "must be positive"},
+		{"NaN eps", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 1e-4, Eps: nan}, "eps=NaN"},
+		{"negative eps", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 1e-4, Eps: -0.1}, "must be in (0, 1/2)"},
+		{"eps 1/2", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 1e-4, Eps: 0.5}, "must be in (0, 1/2)"},
+		{"negative c2", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 1e-4, C2: -1}, "c2=-1"},
+		{"NaN c2", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 1e-4, C2: nan}, "c2=NaN"},
+		{"Inf c2", Config{Rho: 1e-4, Delay: 1e-3, Uncertainty: 1e-4, C2: inf}, "c2=+Inf"},
 	}
 	for _, tc := range tests {
-		if _, err := Derive(tc.cfg); err == nil {
-			t.Errorf("%s: expected error", tc.name)
+		p, err := Derive(tc.cfg)
+		if !errors.Is(err, ErrBadInput) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want ErrBadInput containing %q, got %v (T=%v)", tc.name, tc.want, err, p.T)
 		}
 	}
 }

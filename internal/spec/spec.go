@@ -13,6 +13,14 @@
 // omission or whitespace, which is what lets the job manager dedupe and
 // cache runs (the simulator is deterministic: same spec + seed ⇒
 // byte-identical result).
+//
+// A spec is valid iff it builds. Compile checks only what the spec alone
+// knows — the schema version, the service's resource bounds, registry
+// names, fault-behaviour signs and the horizon shape — and then asks the
+// compiled ftgcs.Scenario to validate itself, so every rule of the model
+// (k ≥ 3f+1, positive physical constants with U ≤ d, analysis constants
+// that derive, fault nodes in range and distinct) is stated once, by the
+// layer that owns it. Validate is Compile with the scenario discarded.
 package spec
 
 import (
@@ -23,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"ftgcs"
 	"ftgcs/internal/core"
@@ -291,81 +300,39 @@ func (s ScenarioSpec) Encode(w io.Writer) error {
 	return err
 }
 
-// Validate checks the spec against the registry without building a
-// system: schema version, name resolution (topology, drift, delay,
-// attacks — failures surface the registry's "unknown name" errors, which
-// list what is available), cluster geometry, resource bounds, physical
-// constants, fault targets and the horizon. A nil registry means
-// ftgcs.DefaultRegistry.
+// Validate reports whether the spec compiles into a scenario that
+// builds: it is Compile with the scenario discarded, so a spec is valid
+// exactly when Build would succeed on its compiled scenario. A nil
+// registry means ftgcs.DefaultRegistry.
 func (s ScenarioSpec) Validate(reg *ftgcs.Registry) error {
-	_, err := s.validate(reg)
+	_, err := s.Compile(reg)
 	return err
 }
 
-// Resolve validates the spec and returns its resolved topology, for
-// callers that validate once and then compile many seed variants
-// (CompileWith) without rebuilding the graph each time.
-func (s ScenarioSpec) Resolve(reg *ftgcs.Registry) (*ftgcs.Topology, error) {
-	return s.validate(reg)
-}
-
-// validate is Validate plus the resolved topology, so Compile does not
-// have to build the graph a second time.
-func (s ScenarioSpec) validate(reg *ftgcs.Registry) (*ftgcs.Topology, error) {
-	return s.validateWith(reg, nil)
-}
-
-// validateWith is validate with an optionally pre-resolved topology:
-// when topo is non-nil (it came from an earlier Resolve of this spec's
-// family/size) the graph is not re-built or re-budgeted, only used for
-// the checks that need it.
-func (s ScenarioSpec) validateWith(reg *ftgcs.Registry, topo *ftgcs.Topology) (*ftgcs.Topology, error) {
+// Compile validates the spec and builds the runnable scenario, resolving
+// every name through reg (nil means ftgcs.DefaultRegistry). Every bound
+// that caps the work of rejecting a spec is checked before the topology
+// is built; the rules of the model are left to Scenario.Validate. The
+// topology is resolved eagerly with the spec's seed — randomized
+// families draw the same graph every time the same spec compiles, which
+// the job manager's dedup/caching depends on.
+func (s ScenarioSpec) Compile(reg *ftgcs.Registry) (*ftgcs.Scenario, error) {
 	if reg == nil {
 		reg = ftgcs.DefaultRegistry
 	}
 	n := s.Normalize()
-	if n.Version != Version {
-		return nil, fmt.Errorf("spec: unsupported version %d (current %d)", n.Version, Version)
+	if err := n.check(); err != nil {
+		return nil, err
 	}
-	if n.Topology.Name == "" {
-		return nil, fmt.Errorf("spec: missing topology name")
+	if est, ok := reg.TopologyClusters(n.Topology.Name, n.Topology.Size); ok && est > MaxTopologyClusters {
+		return nil, fmt.Errorf("spec: topology %s(%d) resolves to %d clusters, exceeds limit %d",
+			n.Topology.Name, n.Topology.Size, est, MaxTopologyClusters)
 	}
-	if n.Topology.Size < 1 {
-		return nil, fmt.Errorf("spec: topology size %d must be ≥ 1", n.Topology.Size)
+	topo, err := reg.Topology(n.Topology.Name, n.Topology.Size, n.Seed)
+	if err != nil {
+		return nil, err
 	}
-	if n.Topology.Size > MaxTopologySize {
-		return nil, fmt.Errorf("spec: topology size %d exceeds limit %d", n.Topology.Size, MaxTopologySize)
-	}
-	if n.Clusters.K < 1 || n.Clusters.F < 0 {
-		return nil, fmt.Errorf("spec: invalid cluster geometry k=%d f=%d", n.Clusters.K, n.Clusters.F)
-	}
-	if n.Clusters.K > MaxClusterSize {
-		return nil, fmt.Errorf("spec: cluster size k=%d exceeds limit %d", n.Clusters.K, MaxClusterSize)
-	}
-	if n.Clusters.F > 0 && n.Clusters.K < 3*n.Clusters.F+1 {
-		return nil, fmt.Errorf("spec: k=%d < 3f+1=%d", n.Clusters.K, 3*n.Clusters.F+1)
-	}
-	if n.Horizon.Seconds > MaxHorizonSeconds {
-		return nil, fmt.Errorf("spec: horizon %g s exceeds limit %g", n.Horizon.Seconds, float64(MaxHorizonSeconds))
-	}
-	if n.Horizon.Rounds > MaxHorizonRounds {
-		return nil, fmt.Errorf("spec: horizon %g rounds exceeds limit %g", n.Horizon.Rounds, float64(MaxHorizonRounds))
-	}
-	if topo == nil {
-		if est, ok := reg.TopologyClusters(n.Topology.Name, n.Topology.Size); ok && est > MaxTopologyClusters {
-			return nil, fmt.Errorf("spec: topology %s(%d) resolves to %d clusters, exceeds limit %d",
-				n.Topology.Name, n.Topology.Size, est, MaxTopologyClusters)
-		}
-		var err error
-		topo, err = reg.Topology(n.Topology.Name, n.Topology.Size, n.Seed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Budget the resolved graph whether it was built here or handed in:
-	// a caller re-validating against a cached topology (e.g. the same
-	// graph paired with a different k) must hit the same limits as the
-	// build path.
+	// Families without a size estimate are budgeted after building.
 	if topo.N() > MaxTopologyClusters {
 		return nil, fmt.Errorf("spec: topology %s(%d) resolves to %d clusters, exceeds limit %d",
 			n.Topology.Name, n.Topology.Size, topo.N(), MaxTopologyClusters)
@@ -374,95 +341,6 @@ func (s ScenarioSpec) validateWith(reg *ftgcs.Registry, topo *ftgcs.Topology) (*
 		return nil, fmt.Errorf("spec: %d clusters × k=%d is %d simulated nodes, exceeds limit %d",
 			topo.N(), n.Clusters.K, total, MaxSimNodes)
 	}
-	if n.Physical.Rho <= 0 || n.Physical.Delay <= 0 || n.Physical.Uncertainty <= 0 {
-		return nil, fmt.Errorf("spec: physical constants must be positive: ρ=%g d=%g U=%g",
-			n.Physical.Rho, n.Physical.Delay, n.Physical.Uncertainty)
-	}
-	if n.Physical.Uncertainty > n.Physical.Delay {
-		return nil, fmt.Errorf("spec: uncertainty U=%g exceeds delay d=%g", n.Physical.Uncertainty, n.Physical.Delay)
-	}
-	if _, err := presetByName(n.Preset); err != nil {
-		return nil, err
-	}
-	if _, err := reg.Drift(n.Drift); err != nil {
-		return nil, err
-	}
-	if _, err := reg.Delay(n.Delay); err != nil {
-		return nil, err
-	}
-	if n.Attack != nil {
-		if _, err := reg.Attack(n.Attack.Name); err != nil {
-			return nil, err
-		}
-		if n.Attack.Clusters < 0 {
-			return nil, fmt.Errorf("spec: attack clusters %d must be ≥ 0", n.Attack.Clusters)
-		}
-	}
-	nodes := topo.N() * n.Clusters.K
-	for _, f := range n.Faults {
-		if f.Node < 0 || f.Node >= nodes {
-			return nil, fmt.Errorf("spec: fault node %d outside [0,%d)", f.Node, nodes)
-		}
-		if f.Attack == "" && f.CrashAt == 0 && f.OffSpecRate == 0 {
-			return nil, fmt.Errorf("spec: fault on node %d specifies no behavior", f.Node)
-		}
-		if f.Attack != "" {
-			if _, err := reg.Attack(f.Attack); err != nil {
-				return nil, err
-			}
-		}
-		if f.CrashAt < 0 {
-			return nil, fmt.Errorf("spec: fault node %d crashAt %g must be ≥ 0", f.Node, f.CrashAt)
-		}
-		if f.OffSpecRate < 0 {
-			return nil, fmt.Errorf("spec: fault node %d offSpecRate %g must be ≥ 0", f.Node, f.OffSpecRate)
-		}
-	}
-	if n.Horizon.Seconds != 0 && n.Horizon.Rounds != 0 {
-		return nil, fmt.Errorf("spec: horizon sets both seconds (%g) and rounds (%g)", n.Horizon.Seconds, n.Horizon.Rounds)
-	}
-	if n.Horizon.Seconds < 0 || n.Horizon.Rounds < 0 {
-		return nil, fmt.Errorf("spec: negative horizon")
-	}
-	if n.SampleInterval < 0 {
-		return nil, fmt.Errorf("spec: negative sampleInterval")
-	}
-	return topo, nil
-}
-
-func presetByName(name string) (ftgcs.Preset, error) {
-	switch name {
-	case DefaultPreset:
-		return ftgcs.PresetPractical, nil
-	case "paper-strict":
-		return ftgcs.PresetPaperStrict, nil
-	default:
-		return 0, fmt.Errorf(`spec: unknown preset %q (have: practical, paper-strict)`, name)
-	}
-}
-
-// Compile validates the spec and builds the runnable scenario, resolving
-// every name through reg (nil means ftgcs.DefaultRegistry). The topology
-// is resolved eagerly with the spec's seed — randomized families draw the
-// same graph every time the same spec compiles, which the job manager's
-// dedup/caching depends on.
-func (s ScenarioSpec) Compile(reg *ftgcs.Registry) (*ftgcs.Scenario, error) {
-	return s.CompileWith(reg, nil)
-}
-
-// CompileWith is Compile with an optionally pre-resolved topology (from
-// Resolve). Callers pinning one graph across many seed variants — the
-// job manager's replication fan-out — pass it to skip re-building a
-// graph per compile; nil behaves exactly like Compile.
-func (s ScenarioSpec) CompileWith(reg *ftgcs.Registry, topo *ftgcs.Topology) (*ftgcs.Scenario, error) {
-	if reg == nil {
-		reg = ftgcs.DefaultRegistry
-	}
-	topo, err := s.validateWith(reg, topo)
-	if err != nil {
-		return nil, err
-	}
-	n := s.Normalize()
 
 	preset, err := presetByName(n.Preset)
 	if err != nil {
@@ -525,7 +403,78 @@ func (s ScenarioSpec) CompileWith(reg *ftgcs.Registry, topo *ftgcs.Topology) (*f
 	if n.Track.Clusters {
 		opts = append(opts, ftgcs.WithClusterTracking())
 	}
-	return ftgcs.NewScenario(opts...), nil
+	sc := ftgcs.NewScenario(opts...)
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// check validates the facts of a normalized spec that need neither the
+// registry nor the topology: the schema version, the size parameter and
+// cluster-size bounds, the horizon's shape and bounds, and the signs of
+// the attack and fault fields.
+func (s ScenarioSpec) check() error {
+	if s.Version != Version {
+		return fmt.Errorf("spec: unsupported version %d (current %d)", s.Version, Version)
+	}
+	if s.Topology.Name == "" {
+		return fmt.Errorf("spec: missing topology name")
+	}
+	if s.Topology.Size < 1 {
+		return fmt.Errorf("spec: topology size %d must be ≥ 1", s.Topology.Size)
+	}
+	if s.Topology.Size > MaxTopologySize {
+		return fmt.Errorf("spec: topology size %d exceeds limit %d", s.Topology.Size, MaxTopologySize)
+	}
+	if s.Clusters.K > MaxClusterSize {
+		return fmt.Errorf("spec: cluster size k=%d exceeds limit %d", s.Clusters.K, MaxClusterSize)
+	}
+	if s.Horizon.Seconds != 0 && s.Horizon.Rounds != 0 {
+		return fmt.Errorf("spec: horizon sets both seconds (%g) and rounds (%g)", s.Horizon.Seconds, s.Horizon.Rounds)
+	}
+	if s.Horizon.Seconds < 0 || s.Horizon.Rounds < 0 {
+		return fmt.Errorf("spec: negative horizon")
+	}
+	if s.Horizon.Seconds > MaxHorizonSeconds {
+		return fmt.Errorf("spec: horizon %g s exceeds limit %g", s.Horizon.Seconds, float64(MaxHorizonSeconds))
+	}
+	if s.Horizon.Rounds > MaxHorizonRounds {
+		return fmt.Errorf("spec: horizon %g rounds exceeds limit %g", s.Horizon.Rounds, float64(MaxHorizonRounds))
+	}
+	if s.SampleInterval < 0 {
+		return fmt.Errorf("spec: negative sampleInterval")
+	}
+	if s.Attack != nil && s.Attack.Clusters < 0 {
+		return fmt.Errorf("spec: attack clusters %d must be ≥ 0", s.Attack.Clusters)
+	}
+	for _, f := range s.Faults {
+		if f.Attack == "" && f.CrashAt == 0 && f.OffSpecRate == 0 {
+			return fmt.Errorf("spec: fault on node %d specifies no behavior", f.Node)
+		}
+		if f.CrashAt < 0 {
+			return fmt.Errorf("spec: fault node %d crashAt %g must be ≥ 0", f.Node, f.CrashAt)
+		}
+		if f.OffSpecRate < 0 {
+			return fmt.Errorf("spec: fault node %d offSpecRate %g must be ≥ 0", f.Node, f.OffSpecRate)
+		}
+	}
+	return nil
+}
+
+// presets are the names a spec's Preset may take, spelled by
+// ftgcs.Preset.String.
+var presets = []ftgcs.Preset{ftgcs.PresetPractical, ftgcs.PresetPaperStrict}
+
+func presetByName(name string) (ftgcs.Preset, error) {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		if p.String() == name {
+			return p, nil
+		}
+		names[i] = p.String()
+	}
+	return 0, fmt.Errorf("spec: unknown preset %q (have: %s)", name, strings.Join(names, ", "))
 }
 
 // DisplayName returns the label the compiled scenario (and hence the
@@ -536,13 +485,4 @@ func (s ScenarioSpec) DisplayName() string {
 		return s.Name
 	}
 	return fmt.Sprintf("%s-%d", s.Topology.Name, s.Topology.Size)
-}
-
-// WithSeed returns a copy of the spec with the given seed — the
-// replication fan-out uses this to derive per-replicate specs from one
-// base spec.
-func (s ScenarioSpec) WithSeed(seed int64) ScenarioSpec {
-	n := s
-	n.Seed = seed
-	return n
 }

@@ -340,6 +340,58 @@ func TestValidateBoundsResolvedGraph(t *testing.T) {
 	}
 }
 
+// TestValidIffBuilds is the validation contract: Validate accepts a spec
+// exactly when its compiled scenario builds. Random specs run unmutated
+// (randomSpec can already draw two faults on one node) and under each
+// mutation below, every one a class of spec the model cannot build; a
+// mutated spec must be rejected by Validate itself, not by a later build.
+func TestValidIffBuilds(t *testing.T) {
+	mutations := []struct {
+		name   string
+		mutate func(*ScenarioSpec)
+	}{
+		{"none", nil},
+		{"eps outside (0, 1/2)", func(s *ScenarioSpec) { s.Constants = &Constants{Eps: 0.7} }},
+		{"c2 infeasible", func(s *ScenarioSpec) { s.Constants = &Constants{C2: 1e6} }},
+		{"c2 negative", func(s *ScenarioSpec) { s.Constants = &Constants{C2: -1} }},
+		{"rho infeasible", func(s *ScenarioSpec) { s.Physical.Rho = 0.2 }},
+		{"two faults on one node", func(s *ScenarioSpec) {
+			s.Faults = append(s.Faults, Fault{Node: 0, Attack: "silent"}, Fault{Node: 0, CrashAt: 1})
+		}},
+		{"attack plant on a faulty node", func(s *ScenarioSpec) {
+			// Cluster 0's plant is its last member, node k−1.
+			s.Attack = &Attack{Name: "silent"}
+			s.Faults = append(s.Faults, Fault{Node: s.Normalize().Clusters.K - 1, CrashAt: 1})
+		}},
+	}
+	rng := rand.New(rand.NewSource(30))
+	valid := 0
+	for i := 0; i < 700; i++ {
+		s := randomSpec(rng)
+		m := mutations[i%len(mutations)]
+		if m.mutate != nil {
+			m.mutate(&s)
+		}
+		verr := s.Validate(nil)
+		sc, berr := s.Compile(nil)
+		if berr == nil {
+			_, berr = sc.Build()
+		}
+		if (verr == nil) != (berr == nil) {
+			t.Fatalf("iter %d (%s): Validate = %v but Compile+Build = %v\nspec %+v", i, m.name, verr, berr, s)
+		}
+		if m.mutate != nil && verr == nil {
+			t.Fatalf("iter %d (%s): unbuildable spec validated\nspec %+v", i, m.name, s)
+		}
+		if verr == nil {
+			valid++
+		}
+	}
+	if valid < 60 {
+		t.Fatalf("only %d valid specs drawn; the contract is barely exercised", valid)
+	}
+}
+
 func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse([]byte(`{"topology":{"name":"line","size":3},"horizn":{"seconds":5}}`))
 	if err == nil || !strings.Contains(err.Error(), "horizn") {

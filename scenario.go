@@ -319,12 +319,16 @@ func (s *Scenario) fail(err error) {
 // Seeded reports whether an explicit seed was set, and the seed.
 func (s *Scenario) Seeded() (int64, bool) { return s.seed, s.seedSet }
 
-// params resolves the derived algorithm constants.
+// resolveParams resolves the derived algorithm constants.
 func (s *Scenario) resolveParams() (Params, error) {
 	if s.derived != nil {
 		return *s.derived, nil
 	}
-	return deriveParams(s.preset, s.rho, s.maxDelay, s.uncertainty, s.c2, s.eps)
+	p, err := deriveParams(s.preset, s.rho, s.maxDelay, s.uncertainty, s.c2, s.eps)
+	if err != nil {
+		return Params{}, fmt.Errorf("ftgcs: %w", err)
+	}
+	return p, nil
 }
 
 // Build wires the scenario into a runnable System.
@@ -335,23 +339,60 @@ func (s *Scenario) Build() (*System, error) {
 	if s.backend != nil {
 		return s.buildBackend()
 	}
+	cfg, err := s.config()
+	if err != nil {
+		return nil, err
+	}
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("ftgcs: %w", err)
+	}
+	return &System{sys: sys, b: sys, p: cfg.Params}, nil
+}
+
+// Validate reports the error Build's checks would return, without wiring
+// a system: an option error, then the derived parameters, the topology
+// and the core configuration (cluster geometry, fault targets). A
+// WithTopologyName scenario resolves its graph to do so; a WithBackend
+// scenario checks only its parameters, since the backend is opaque until
+// it is built.
+func (s *Scenario) Validate() error {
+	if s.err != nil {
+		return s.err
+	}
+	if s.backend != nil {
+		_, err := s.resolveParams()
+		return err
+	}
+	cfg, err := s.config()
+	if err != nil {
+		return err
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("ftgcs: %w", err)
+	}
+	return nil
+}
+
+// config assembles the core configuration Build wires and Validate
+// checks, so the two cannot disagree.
+func (s *Scenario) config() (core.Config, error) {
 	topo := s.topology
 	if s.topoName != "" {
 		t, err := TopologyByName(s.topoName, s.topoSize, s.seed)
 		if err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 		topo = t
 	}
 	if topo == nil {
-		return nil, fmt.Errorf("ftgcs: scenario %q has no topology", s.name)
+		return core.Config{}, fmt.Errorf("ftgcs: scenario %q has no topology", s.name)
 	}
 	p, err := s.resolveParams()
 	if err != nil {
-		return nil, fmt.Errorf("ftgcs: %w", err)
+		return core.Config{}, err
 	}
-	faults := s.expandFaults(topo)
-	sys, err := core.NewSystem(core.Config{
+	return core.Config{
 		Base:             topo,
 		K:                s.k,
 		F:                s.f,
@@ -359,7 +400,7 @@ func (s *Scenario) Build() (*System, error) {
 		Seed:             s.seed,
 		Drift:            s.driftModel,
 		Delay:            s.delayModel,
-		Faults:           faults,
+		Faults:           s.expandFaults(topo),
 		EnableGlobalSkew: !s.disableGlobalSkew,
 		SampleInterval:   s.sampleInterval,
 		HorizonHint:      s.Horizon(p),
@@ -367,11 +408,7 @@ func (s *Scenario) Build() (*System, error) {
 		TrackRounds:      s.trackRounds,
 		TrackClusters:    s.trackClusters,
 		ModeOverride:     s.modeOverride,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ftgcs: %w", err)
-	}
-	return &System{sys: sys, b: sys, p: p}, nil
+	}, nil
 }
 
 // expandFaults resolves the scenario's full fault list against the given

@@ -4,7 +4,8 @@
 # Builds ftgcs-serve, boots it on an ephemeral port, submits the same
 # example spec twice, and asserts that the second response is a cache hit
 # ("cached":"memory") whose payload is byte-identical to the first modulo
-# that one marker — the content-addressed dedup/cache guarantee. Then
+# that one marker — the content-addressed dedup/cache guarantee. A spec
+# with an infeasible constant must be a 400 that spends no run. Then
 # submits a long-horizon spec, cancels it via DELETE, and asserts the
 # canceled state, that the canceled ID is not cached, and that the server
 # is still live and able to run fresh work afterward. An observability
@@ -76,6 +77,21 @@ if ! cmp -s "$tmp/r1.json" "$tmp/r2norm.json"; then
 fi
 
 echo "serve smoke OK: second submission was a cache hit with byte-identical result"
+
+# --- Contract leg: a spec validates iff it builds. ---
+
+# ε = 0.7 is outside (0, 1/2): the model cannot build this spec, so it is
+# a 400 at POST, not a queued job that fails on a worker and is then
+# served as a cached failure.
+runs_before=$(curl -fsS "$base/v1/stats" | sed -n 's/.*"runs":\([0-9]*\).*/\1/p')
+bad='{"spec": {"topology": {"name": "line", "size": 2}, "constants": {"eps": 0.7}}}'
+code=$(curl -s -o "$tmp/bad.json" -w '%{http_code}' -X POST -d "$bad" "$base/v1/experiments")
+[ "$code" = "400" ] || { echo "infeasible spec answered HTTP $code, want 400:"; cat "$tmp/bad.json"; exit 1; }
+! grep -q '"retryable"' "$tmp/bad.json" || { echo "infeasible spec marked retryable:"; cat "$tmp/bad.json"; exit 1; }
+runs_after=$(curl -fsS "$base/v1/stats" | sed -n 's/.*"runs":\([0-9]*\).*/\1/p')
+[ -n "$runs_before" ] && [ "$runs_before" = "$runs_after" ] || { echo "infeasible spec consumed a run ($runs_before -> $runs_after)"; exit 1; }
+
+echo "serve smoke OK: infeasible spec rejected with 400 before any run"
 
 # --- Cancellation leg: a heavy-but-legal spec must be stoppable. ---
 
