@@ -95,14 +95,14 @@ type Stats struct {
 //
 // Per-round state is held in dense sender-indexed slices (the member set is
 // small and fixed for the lifetime of the instance), with a NodeID→index
-// lookup built once at construction; the steady-state round loop performs
+// table built once at construction; the steady-state round loop performs
 // no heap allocations.
 type Instance struct {
 	cfg       Config
 	eng       *sim.Engine
-	senders   []graph.NodeID         // Members ∪ {Self}
-	senderIdx map[graph.NodeID]int32 // NodeID → index into senders
-	selfIdx   int32                  // index of Self in senders
+	senders   []graph.NodeID // Members ∪ {Self}
+	senderIdx graph.Index    // NodeID → index into senders
+	selfIdx   int32          // index of Self in senders
 
 	round       int
 	ph          phase
@@ -153,13 +153,12 @@ func New(eng *sim.Engine, cfg Config) (*Instance, error) {
 	if n < 3*cfg.F+1 {
 		return nil, fmt.Errorf("cluster: %d senders cannot tolerate f=%d (need ≥ %d)", n, cfg.F, 3*cfg.F+1)
 	}
-	senderIdx := make(map[graph.NodeID]int32, n)
+	senderIdx := graph.NewIndex(n)
 	selfIdx := int32(-1)
 	for i, s := range senders {
-		if _, dup := senderIdx[s]; dup {
+		if !senderIdx.Put(s, int32(i)) {
 			return nil, fmt.Errorf("cluster: duplicate member %d", s)
 		}
-		senderIdx[s] = int32(i)
 		if s == cfg.Self {
 			selfIdx = int32(i)
 		}
@@ -277,8 +276,8 @@ func (in *Instance) pulse() {
 
 // HandlePulse records a cluster pulse received at Newtonian time t.
 func (in *Instance) HandlePulse(t float64, from graph.NodeID) {
-	i, ok := in.senderIdx[from]
-	if !ok {
+	i := in.senderIdx.Get(from)
+	if i < 0 {
 		return
 	}
 	switch in.ph {

@@ -7,6 +7,7 @@ import (
 
 	"ftgcs/internal/byzantine"
 	"ftgcs/internal/graph"
+	"ftgcs/internal/params"
 )
 
 // TestQueueWheelEngagedOnFlood guards the mechanism on a flood-shaped
@@ -29,7 +30,7 @@ func TestQueueWheelEngagedOnFlood(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sys.Engine().QueueStats()
-	filed := st.FiledNear + st.FiledWheel + st.FiledFar
+	filed := st.FiledNear + st.FiledWheel + st.FiledCoarse + st.FiledFar
 	if filed == 0 || st.BucketsLoaded == 0 {
 		t.Fatalf("nothing went through the queue: %+v", st)
 	}
@@ -38,6 +39,43 @@ func TestQueueWheelEngagedOnFlood(t *testing.T) {
 	}
 	if per := float64(st.EntriesLoaded) / float64(st.BucketsLoaded); per >= 4 {
 		t.Errorf("%.2f entries per loaded bucket, want < 4: %+v", per, st)
+	}
+}
+
+// TestQueueCoarseWheelHoldsRoundTimers guards the coarse wheel on a
+// gradient-shaped system: with the flood off and the benchmark's constants
+// (c₂ = 4, ε = 0.25), the phase and round-end timers of Algorithm 1 lie up
+// to a round T ≈ 28 d ahead — beyond the fine wheel's d·9/8 but well inside
+// the coarse wheel's 64 spans. So nearly every filing beyond the fine window
+// must go coarse and almost none far; a span that stops matching the delay
+// model, or a coarse window that shrinks, fails here.
+func TestQueueCoarseWheelHoldsRoundTimers(t *testing.T) {
+	p, err := params.Derive(params.Config{Rho: 3e-3, Delay: 1e-3, Uncertainty: 1e-4, C2: 4, Eps: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Config{
+		Base: graph.Grid(2, 2), K: 7, F: 2, Params: p, Seed: 1,
+		Delay:  UniformDelayModel{},
+		Faults: []FaultSpec{{Node: 0, Strategy: byzantine.TwoFaced{}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(30 * p.T); err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Engine().QueueStats()
+	filed := st.FiledNear + st.FiledWheel + st.FiledCoarse + st.FiledFar
+	beyond := st.FiledCoarse + st.FiledFar
+	if beyond == 0 {
+		t.Fatalf("no filing went beyond the fine window: %+v", st)
+	}
+	if share := float64(st.FiledCoarse) / float64(beyond); share < 0.95 {
+		t.Errorf("%.1f %% of %d filings beyond the fine window went coarse, want ≥ 95 %%: %+v", 100*share, beyond, st)
+	}
+	if share := float64(st.FiledFar) / float64(filed); share >= 0.01 {
+		t.Errorf("%.2f %% of %d filings went far, want < 1 %%: %+v", 100*share, filed, st)
 	}
 }
 
@@ -70,7 +108,7 @@ func TestQueueWheelIsUnobservable(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					st := sys.Engine().QueueStats()
-					if on := st.FiledWheel+st.FiledFar > 0; on != wheel {
+					if on := st.FiledWheel+st.FiledCoarse+st.FiledFar > 0; on != wheel {
 						t.Fatalf("%s: wheel on = %v, want %v: %+v", name, on, wheel, st)
 					}
 					var series bytes.Buffer

@@ -24,7 +24,6 @@ package globalskew
 
 import (
 	"fmt"
-	"math/bits"
 
 	"ftgcs/internal/clockwork"
 	"ftgcs/internal/graph"
@@ -61,10 +60,8 @@ type Estimator struct {
 	levelTimer sim.Handle
 
 	// Reception state is dense, O(members) per estimator: senders is laid
-	// out group by group, and slots is an open-addressed NodeID → sender
-	// table (linear probing from id&mask, under half full), so IDs need not
-	// be contiguous — and when they are, no probe collides.
-	slots   []int32 // index into senders + 1; 0 = empty
+	// out group by group, and index maps a NodeID to its sender.
+	index   graph.Index
 	senders []sender
 	groups  []group
 
@@ -73,7 +70,6 @@ type Estimator struct {
 
 // sender is one known sender's reception state.
 type sender struct {
-	id    graph.NodeID
 	count int // max pulses received
 	group int // index into groups
 }
@@ -116,35 +112,22 @@ func New(eng *sim.Engine, cfg Config) (*Estimator, error) {
 	e := &Estimator{
 		cfg:     cfg,
 		eng:     eng,
-		slots:   make([]int32, 2<<bits.Len(uint(n))), // a power of two > 2n
+		index:   graph.NewIndex(n),
 		senders: make([]sender, 0, n),
 		groups:  make([]group, 0, len(cfg.Groups)),
 	}
 	for gi, members := range cfg.Groups {
 		lo := len(e.senders)
 		for _, m := range members {
-			h := e.slot(m)
-			if e.slots[h] != 0 {
+			if !e.index.Put(m, int32(len(e.senders))) {
 				return nil, fmt.Errorf("globalskew: sender %d listed twice", m)
 			}
-			e.senders = append(e.senders, sender{id: m, group: gi})
-			e.slots[h] = int32(len(e.senders))
+			e.senders = append(e.senders, sender{group: gi})
 		}
 		e.groups = append(e.groups, group{lo: lo, hi: len(e.senders)})
 	}
 	e.Reset()
 	return e, nil
-}
-
-// slot returns the position in slots that holds id, or the empty one where
-// the probe for it ends.
-func (e *Estimator) slot(id graph.NodeID) int {
-	mask := len(e.slots) - 1
-	h := id & mask
-	for i := e.slots[h]; i != 0 && e.senders[i-1].id != id; i = e.slots[h] {
-		h = (h + 1) & mask
-	}
-	return h
 }
 
 // Reset rewinds the estimator to its unstarted state, keeping the sender
@@ -238,13 +221,13 @@ func (e *Estimator) RaiseTo(t, ownLogical float64) {
 
 // HandleMaxPulse processes a received max pulse.
 func (e *Estimator) HandleMaxPulse(t float64, from graph.NodeID) {
-	i := e.slots[e.slot(from)]
-	if i == 0 {
+	i := e.index.Get(from)
+	if i < 0 {
 		e.stats.Ignored++
 		return
 	}
 	e.stats.PulsesHeard++
-	snd := &e.senders[i-1]
+	snd := &e.senders[i]
 	g := &e.groups[snd.group]
 	snd.count++
 	if snd.count == g.confirmed+1 {

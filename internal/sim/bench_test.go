@@ -63,3 +63,41 @@ func BenchmarkEngineCancelReschedule(b *testing.B) {
 		h = e.MustScheduleData(e.Now()+1, "timer", benchTick, Data{})
 	}
 }
+
+// benchRoundTimer is one lane of BenchmarkEngineRoundTimers: it re-arms
+// itself 1–25 spans ahead (I0 is the lane, I1 counts re-arms) and sends
+// eight deliveries due 0.9–1.0 spans ahead, like a cluster pulse.
+func benchRoundTimer(e *Engine, d Data) {
+	now := e.Now()
+	for j := 0; j < 8; j++ {
+		e.MustScheduleData(now+0.9+0.0125*float64(j), "delivery", benchDelivery, Data{})
+	}
+	d.I1++
+	lead := 1 + float64((d.I0+7*d.I1)%25) + float64(d.I0%16)/16
+	e.MustScheduleData(now+lead, "timer", benchRoundTimer, d)
+}
+
+func benchDelivery(*Engine, Data) {}
+
+// BenchmarkEngineRoundTimers measures one event of gradient_grid's shape on
+// an engine with a span of 1: 400 round timers re-armed 1–25 spans ahead —
+// beyond the fine wheel — among dense deliveries due within one span.
+// Expected steady state: 0 allocs/op.
+func BenchmarkEngineRoundTimers(b *testing.B) {
+	e := NewEngine()
+	e.SetLookahead(1)
+	const lanes = 400
+	for i := 0; i < lanes; i++ {
+		e.MustScheduleData(25*float64(i)/lanes, "timer", benchRoundTimer, Data{I0: int32(i)})
+	}
+	horizon := 100.0
+	e.Run(horizon) // warm pool and wheel
+	b.ReportAllocs()
+	b.ResetTimer()
+	for start := e.Processed(); e.Processed()-start < uint64(b.N); {
+		horizon++
+		if err := e.Run(horizon); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,26 +5,27 @@ import (
 	"math/bits"
 )
 
-// The pending-event queue: a time wheel in front of two heaps. The package
-// comment gives the three stages and the ordering argument; this file is
-// the mechanism.
+// The pending-event queue: two time wheels, a fine and a coarse one, in
+// front of two heaps. The package comment gives the four stages and the
+// ordering argument; this file is the mechanism.
 
 // stage names the container that holds a pending slot.
 type stage uint8
 
 const (
-	inNone  stage = iota // fired, canceled or never scheduled
-	inNear               // near heap: bucket cur or earlier
-	inWheel              // a bucket of the wheel: tick in (cur, cur+buckets)
-	inFar                // far heap: tick ≥ cur+buckets
+	inNone   stage = iota // fired, canceled or never scheduled
+	inNear                // near heap: bucket cur or earlier
+	inWheel               // a bucket of the fine wheel: tick in (cur, cur+buckets)
+	inCoarse              // a coarse bucket: period in (cur's, cur's + 64)
+	inFar                 // far heap: period ≥ cur's + 64
 )
 
 // slot is the queue's bookkeeping for one slab entry, kept in a dense array
 // beside the slab so that sifting and unlinking touch 16-byte records
 // instead of 64-byte events.
 type slot struct {
-	pos        int32 // index in the near/far heap, or the bucket in the wheel
-	next, prev int32 // bucket list links (wheel only); -1 terminates
+	pos        int32 // index in the near/far heap, or the bucket in head
+	next, prev int32 // bucket list links (wheels only); -1 terminates
 	in         stage
 }
 
@@ -40,18 +41,21 @@ const (
 	// transient burst an advance scans at most maxBuckets/64 bitmap words.
 	minBuckets = 64
 	maxBuckets = 1 << 12
+	// coarseBuckets is the coarse wheel's size, one bitmap word: it covers
+	// 64 periods of one fine span each.
+	coarseBuckets = 64
 	// maxTick clamps the time→tick map: float64 values ≥ 2⁶⁴ convert to an
-	// unspecified uint64, and cur+buckets must not wrap.
+	// unspecified uint64, and the coarse window's end must not wrap.
 	maxTick = 1 << 62
 )
 
-// QueueStats counts where scheduled events were filed and what the wheel
-// handed to the near heap. Reset zeroes the counters; Buckets is the wheel's
-// current size (0 until a lookahead is set) and survives Reset.
+// QueueStats counts where scheduled events were filed and what the fine
+// wheel handed to the near heap. Reset zeroes the counters; Buckets is the
+// fine wheel's current size (0 until a lookahead is set) and survives Reset.
 type QueueStats struct {
-	// FiledNear, FiledWheel and FiledFar count ScheduleData calls by the
-	// stage the event entered first.
-	FiledNear, FiledWheel, FiledFar uint64
+	// FiledNear, FiledWheel, FiledCoarse and FiledFar count ScheduleData
+	// calls by the stage the event entered first.
+	FiledNear, FiledWheel, FiledCoarse, FiledFar uint64
 	// BucketsLoaded counts non-empty buckets moved into the near heap, and
 	// EntriesLoaded the events they held.
 	BucketsLoaded, EntriesLoaded uint64
@@ -61,16 +65,23 @@ type QueueStats struct {
 // QueueStats returns the queue counters.
 func (e *Engine) QueueStats() QueueStats {
 	s := e.stats
-	s.Buckets = len(e.head)
+	s.Buckets = e.buckets()
 	return s
 }
 
-// SetLookahead sets the span of simulated time the wheel covers ahead of
-// the clock: events due within span are filed in O(1), later ones go through
-// the far heap. Firing order does not depend on it. transport.Network passes
+// buckets returns the fine wheel's size; head and occ hold the coarse
+// wheel's heads and bitmap word after the fine wheel's.
+func (e *Engine) buckets() int {
+	return max(len(e.head)-coarseBuckets, 0)
+}
+
+// SetLookahead sets the span of simulated time the fine wheel covers ahead
+// of the clock: events due within span are filed in O(1), and so are those
+// within 64 spans, in the coarse wheel; later ones go through the far heap.
+// Firing order does not depend on it. transport.Network passes
 // the delay bound d (plus a margin), so every delivery stays inside the
-// window; span ≤ 0 (the default) switches the wheel off and every event
-// files near. Whatever is pending is re-filed; a repeated value is a no-op.
+// fine window; span ≤ 0 (the default) switches the wheels off and every
+// event files near. Whatever is pending is re-filed; a repeated value is a no-op.
 func (e *Engine) SetLookahead(span float64) {
 	if !(span > 0 && span <= math.MaxFloat64) { // also NaN and +Inf
 		span = 0
@@ -78,7 +89,7 @@ func (e *Engine) SetLookahead(span float64) {
 	if span == e.span {
 		return
 	}
-	buckets := len(e.head)
+	buckets := e.buckets()
 	if buckets == 0 {
 		buckets = minBuckets
 	}
@@ -90,18 +101,18 @@ func (e *Engine) SetLookahead(span float64) {
 func (e *Engine) setGeometry(buckets int, span float64) {
 	stats := e.stats
 	chain := e.unfileAll()
-	if buckets != len(e.head) {
-		e.head = make([]int32, buckets)
+	if buckets != e.buckets() {
+		e.head = make([]int32, buckets+coarseBuckets)
 		for i := range e.head {
 			e.head[i] = -1
 		}
-		e.occ = make([]uint64, buckets/64)
+		e.occ = make([]uint64, (buckets+coarseBuckets)/64)
 	}
 	e.span, e.scale = span, 0
 	if span > 0 {
 		e.scale = float64(buckets) / span
 	}
-	e.cur = e.tick(e.now)
+	e.setCur(e.tick(e.now))
 	for id := chain; id >= 0; {
 		next := e.slots[id].next
 		e.place(id, e.events[id].at)
@@ -110,7 +121,20 @@ func (e *Engine) setGeometry(buckets int, span float64) {
 	e.stats = stats // re-filing is not scheduling
 }
 
-// unfileAll empties the three stages and returns the slots they held,
+// setCur moves cur to tick tk and edge to the first tick of the next
+// period. A period is one fine wheel's worth of ticks — one span — and the
+// bucket count is a power of two, so a tick's period is tk >> shift.
+func (e *Engine) setCur(tk uint64) {
+	e.cur = tk
+	e.edge = (tk | uint64(e.buckets()-1)) + 1
+}
+
+// shift is log₂ of the fine wheel's size.
+func (e *Engine) shift() int {
+	return bits.TrailingZeros(uint(len(e.head) - coarseBuckets))
+}
+
+// unfileAll empties the four stages and returns the slots they held,
 // chained through slot.next (-1 terminates).
 func (e *Engine) unfileAll() int32 {
 	chain := int32(-1)
@@ -121,7 +145,7 @@ func (e *Engine) unfileAll() int32 {
 		}
 	}
 	e.near, e.far = e.near[:0], e.far[:0]
-	if e.wheelN == 0 {
+	if e.wheelN+e.coarseN == 0 {
 		return chain
 	}
 	for w, word := range e.occ {
@@ -137,7 +161,7 @@ func (e *Engine) unfileAll() int32 {
 		}
 		e.occ[w] = 0
 	}
-	e.wheelN = 0
+	e.wheelN, e.coarseN = 0, 0
 	return chain
 }
 
@@ -155,34 +179,38 @@ func (e *Engine) tick(t Time) uint64 {
 // place files slot id, due at time at, in the stage its tick selects.
 func (e *Engine) place(id int32, at Time) {
 	tk := e.tick(at)
+	buckets := uint64(len(e.head) - coarseBuckets)
 	switch {
 	case tk <= e.cur:
 		e.stats.FiledNear++
 		e.heapPush(&e.near, entry{at, id}, inNear)
-	case tk-e.cur < uint64(len(e.head)):
+	case tk-e.cur < buckets:
 		e.stats.FiledWheel++
-		e.link(id, tk)
+		e.link(id, int32(tk&(buckets-1)), inWheel)
+		e.wheelN++
+	case tk-e.edge < (coarseBuckets-1)*buckets: // period < cur's + 64
+		e.stats.FiledCoarse++
+		e.link(id, int32(buckets+(tk>>e.shift())%coarseBuckets), inCoarse)
+		e.coarseN++
 	default:
 		e.stats.FiledFar++
 		e.heapPush(&e.far, entry{at, id}, inFar)
 	}
 }
 
-// link puts slot id at the head of the bucket of tick tk.
-func (e *Engine) link(id int32, tk uint64) {
-	b := int32(tk & uint64(len(e.head)-1))
+// link puts slot id at the head of bucket b of head, in stage in.
+func (e *Engine) link(id int32, b int32, in stage) {
 	first := e.head[b]
-	e.slots[id] = slot{pos: b, next: first, prev: -1, in: inWheel}
+	e.slots[id] = slot{pos: b, next: first, prev: -1, in: in}
 	if first >= 0 {
 		e.slots[first].prev = id
 	} else {
 		e.occ[b>>6] |= 1 << (b & 63)
 	}
 	e.head[b] = id
-	e.wheelN++
 }
 
-// unlink takes slot id out of its bucket.
+// unlink takes slot id out of its bucket; the caller keeps the count.
 func (e *Engine) unlink(id int32) {
 	s := e.slots[id]
 	if s.next >= 0 {
@@ -196,71 +224,117 @@ func (e *Engine) unlink(id int32) {
 			e.occ[s.pos>>6] &^= 1 << (s.pos & 63)
 		}
 	}
-	e.wheelN--
 }
 
-// grow doubles the wheel once it holds more than two entries per bucket,
-// like a hash table; it never shrinks, and Reset keeps the size.
+// grow doubles the fine wheel once it holds more than two entries per
+// bucket, like a hash table; it never shrinks, and Reset keeps the size.
+// The coarse wheel keeps its 64 buckets: a period is one span whatever the
+// bucket count.
 func (e *Engine) grow() {
-	if n := len(e.head); e.wheelN > 2*n && n < maxBuckets {
+	if n := e.buckets(); e.wheelN > 2*n && n < maxBuckets {
 		e.setGeometry(2*n, e.span)
 	}
 }
 
-// advance turns the wheel to the next pending tick and loads that bucket
-// into the empty near heap. It reports false when nothing is pending.
+// advance moves cur to the next pending tick and loads that bucket into
+// the empty near heap. It reports false when nothing is pending.
 //
-// Far entries lie at cur+buckets or later and wheel entries before that, so
-// the far heap decides the next tick only when the wheel is empty. A tick
-// maps to exactly one bucket and a bucket holds exactly one tick.
+// Every entry outside the near heap lies after cur, and coarse and far
+// entries lie in a later period than cur's, so while the fine wheel's next
+// tick is before edge it is the next tick of all: one compare. Otherwise
+// cascade moves cur to the start of the next period that holds an entry and
+// re-files into the fine wheel what that period holds. A tick maps to
+// exactly one fine bucket and a fine bucket holds exactly one tick.
 func (e *Engine) advance() bool {
-	switch {
-	case e.wheelN > 0:
-		e.cur = e.nextTick()
-	case len(e.far) > 0:
-		e.cur = e.tick(e.far[0].at)
-	default:
+	for {
+		next := uint64(math.MaxUint64)
+		if e.wheelN > 0 {
+			next = e.nextTick()
+		}
+		if next < e.edge {
+			e.cur = next
+		} else if !e.cascade(next) {
+			return false
+		}
+		// After a cascade, bucket cur may hold fine entries filed before it
+		// (nextTick scans from cur+1, so it is loaded first) or none at all.
+		// The cascade may have filed tick cur near; if not, the fine wheel
+		// holds what comes next and the loop turns on.
+		b := e.cur & uint64(len(e.head)-coarseBuckets-1)
+		id := e.head[b]
+		if id < 0 {
+			if len(e.near) > 0 {
+				return true
+			}
+			continue
+		}
+		n := 0
+		for ; id >= 0; n++ {
+			next := e.slots[id].next
+			e.heapPush(&e.near, entry{e.events[id].at, id}, inNear)
+			id = next
+		}
+		e.head[b] = -1
+		e.occ[b>>6] &^= 1 << (b & 63)
+		e.wheelN -= n
+		e.stats.BucketsLoaded++
+		e.stats.EntriesLoaded += uint64(n)
+		return true
+	}
+}
+
+// cascade moves cur to the first tick of the least period q that holds a
+// fine, coarse or far entry; next is the fine wheel's next tick (MaxUint64
+// when it is empty). It re-files coarse bucket q and every far entry now
+// inside the coarse window, and reports false when those three stages are
+// empty. Coarse bucket q&63 ends empty, and stays so while cur is in q.
+func (e *Engine) cascade(next uint64) bool {
+	if e.wheelN == 0 && e.coarseN == 0 && len(e.far) == 0 {
 		return false
 	}
-	buckets := uint64(len(e.head))
+	shift := e.shift()
+	q := next >> shift
+	if e.coarseN > 0 {
+		// cur's own coarse bucket is empty, so a scan of the one word from
+		// the next period on finds the least coarse period exactly.
+		from := e.edge >> shift
+		word := bits.RotateLeft64(e.occ[len(e.occ)-1], -int(from%coarseBuckets))
+		q = min(q, from+uint64(bits.TrailingZeros64(word)))
+	}
+	if len(e.far) > 0 {
+		q = min(q, e.tick(e.far[0].at)>>shift)
+	}
+	e.setCur(q << shift)
+	stats := e.stats
+	b := len(e.head) - coarseBuckets + int(q%coarseBuckets)
+	id := e.head[b]
+	e.head[b] = -1
+	e.occ[b>>6] &^= 1 << (b & 63)
+	for id >= 0 {
+		next := e.slots[id].next
+		e.coarseN--
+		e.place(id, e.events[id].at)
+		id = next
+	}
 	for len(e.far) > 0 {
 		x := e.far[0]
-		tk := e.tick(x.at)
-		if tk-e.cur >= buckets {
+		if e.tick(x.at)>>shift-q >= coarseBuckets {
 			break
 		}
 		e.heapRemove(&e.far, 0)
-		if tk == e.cur {
-			e.heapPush(&e.near, x, inNear)
-		} else {
-			e.link(x.id, tk)
-		}
+		e.place(x.id, x.at)
 	}
-	b := e.cur & (buckets - 1)
-	id := e.head[b]
-	if id < 0 {
-		return true
-	}
-	n := 0
-	for ; id >= 0; n++ {
-		next := e.slots[id].next
-		e.heapPush(&e.near, entry{e.events[id].at, id}, inNear)
-		id = next
-	}
-	e.head[b] = -1
-	e.occ[b>>6] &^= 1 << (b & 63)
-	e.wheelN -= n
-	e.stats.BucketsLoaded++
-	e.stats.EntriesLoaded += uint64(n)
+	e.stats = stats // re-filing is not scheduling
 	return true
 }
 
-// nextTick returns the tick of the first occupied bucket after cur. The
-// wheel must hold an entry. Bucket cur&mask itself is always empty (tick
-// cur files near, tick cur+buckets far), so the scan may wrap onto it.
+// nextTick returns the tick of the first occupied fine bucket after cur.
+// The fine wheel must hold an entry. Bucket cur&mask itself is empty once
+// loaded (tick cur files near, tick cur+buckets beyond the fine wheel), so
+// the scan may wrap onto it.
 func (e *Engine) nextTick() uint64 {
-	mask := uint64(len(e.head) - 1)
-	words := uint64(len(e.occ))
+	mask := uint64(len(e.head) - coarseBuckets - 1)
+	words := uint64(len(e.occ) - 1)
 	from := (e.cur + 1) & mask
 	w := from >> 6
 	word := e.occ[w] & (^uint64(0) << (from & 63))

@@ -37,11 +37,14 @@ type queueHarness struct {
 }
 
 // leadClasses is the number of lead-time shapes lead() knows.
-const leadClasses = 6
+const leadClasses = 7
 
 // lead turns a class and a 16-bit fraction into a lead time: 0, an exact
 // tie with the previously scheduled time, [0.9, 1.0] ms, [0, 1) s,
-// [0, 100) s or sub-µs.
+// [0, 100) s, sub-µs, or whole fine spans — 1 to 80 of them plus a
+// fraction, or up to the start of a period (a multiple of the span) — so
+// events land in coarse buckets, on cascade boundaries and beyond the
+// coarse window.
 func (q *queueHarness) lead(class byte, w uint16) Time {
 	frac := float64(w) / 65536
 	switch class % leadClasses {
@@ -55,6 +58,17 @@ func (q *queueHarness) lead(class byte, w uint16) Time {
 		return frac
 	case 4:
 		return 100 * frac
+	case 6:
+		span := q.e.span
+		if span == 0 {
+			span = 1
+		}
+		n := float64(1 + int(w>>8)%80)
+		if w&0xff < 32 {
+			now := q.e.Now()
+			return math.Max(span*(math.Floor(now/span)+n)-now, 0)
+		}
+		return span * (n + float64(w&0xff)/256)
 	default:
 		return 1e-6 * frac
 	}
@@ -122,6 +136,56 @@ func (q *queueHarness) run(horizon Time) {
 func (q *queueHarness) check() {
 	if got := q.e.Pending(); got != len(q.live) {
 		q.t.Fatalf("Pending = %d, model holds %d", got, len(q.live))
+	}
+	q.checkStages()
+}
+
+// checkStages checks every pending slot against the window of the stage it
+// waits in: near at tick ≤ cur; fine in (cur, cur+buckets), in its tick's
+// bucket; coarse in a period after cur's and less than 64 after it, in its
+// period's bucket; far at least 64 periods after cur's. Firing order alone
+// cannot see an entry that waits too long in a later stage as long as it
+// fires in time; this can.
+func (q *queueHarness) checkStages() {
+	e := q.e
+	for _, x := range e.near {
+		if tk := e.tick(x.at); tk > e.cur {
+			q.t.Fatalf("near entry at tick %d, cur %d", tk, e.cur)
+		}
+	}
+	buckets := e.buckets()
+	if buckets == 0 {
+		if len(e.far) != 0 {
+			q.t.Fatalf("%d far entries without a wheel", len(e.far))
+		}
+		return
+	}
+	shift := e.shift()
+	period := e.cur >> shift
+	for _, x := range e.far {
+		if p := e.tick(x.at) >> shift; p-period < coarseBuckets {
+			q.t.Fatalf("far entry in period %d, cur's is %d", p, period)
+		}
+	}
+	wheel, coarse := 0, 0
+	for b, id := range e.head {
+		for ; id >= 0; id = e.slots[id].next {
+			tk := e.tick(e.events[id].at)
+			p := tk >> shift
+			switch {
+			case b < buckets && (tk <= e.cur || tk-e.cur >= uint64(buckets) || int(tk)&(buckets-1) != b):
+				q.t.Fatalf("fine bucket %d holds tick %d, cur %d", b, tk, e.cur)
+			case b >= buckets && (p <= period || p-period >= coarseBuckets || int(p%coarseBuckets) != b-buckets):
+				q.t.Fatalf("coarse bucket %d holds period %d, cur's is %d", b-buckets, p, period)
+			case b < buckets:
+				wheel++
+			default:
+				coarse++
+			}
+		}
+	}
+	if wheel != e.wheelN || coarse != e.coarseN {
+		q.t.Fatalf("wheels hold %d and %d entries, counted %d and %d", wheel, coarse, e.wheelN, e.coarseN)
 	}
 }
 
@@ -254,6 +318,18 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{7, 7, 0, 3, 9, 9, 0, 1, 0, 0, 0, 1, 0, 0, 3, 0, 1, 4, 3, 128, 0, 7, 1, 6, 0, 7})
 	// span 1e3, two bursts, runs, a run short of the next event, a cancel
 	f.Add([]byte{7, 9, 6, 9, 9, 6, 1, 1, 4, 2, 0, 0, 5, 200, 3, 0, 7, 4, 5, 0, 0})
+	// span 1e-3, events 6.5, 33.25 and 70 spans ahead (coarse, coarse, far),
+	// a run halfway to the first — it cascades into the first's period and
+	// stops at its horizon — then a schedule before cur
+	f.Add([]byte{7, 3, 0, 6, 5, 128, 0, 6, 32, 64, 0, 6, 69, 0, 5, 128, 4, 6, 80, 0})
+	// span 1e-3, coarse entries (one exactly on a period start, one with a
+	// coarse child), three of them canceled, a run across their periods
+	f.Add([]byte{7, 3, 0, 6, 3, 0, 0, 0xd1, 9, 200, 0, 6, 40, 100, 0, 6, 2, 64,
+		3, 0, 0, 3, 0, 2, 3, 0, 3, 4, 6, 50, 0, 3, 0, 1})
+	// span 1e-3, coarse and far entries pending through a Reset, new coarse
+	// and far entries pending through a span change to 0.5 and back, a run
+	f.Add([]byte{7, 3, 0, 6, 7, 0, 0, 0x92, 70, 1, 0, 6, 20, 128, 7, 0,
+		0, 6, 12, 200, 0, 6, 75, 0, 7, 5, 7, 3, 4, 6, 30, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			t.Skip("the sorted model is quadratic in the events a long op string can burst")
@@ -265,13 +341,13 @@ func FuzzQueueOrder(f *testing.F) {
 
 // TestQueueTiesAcrossStages schedules the same instant from different nows
 // (times on a 2⁻¹⁰ grid, so the sums are exact): the first copy is filed far,
-// the next two in a bucket, the last straight into the near heap. They must
-// fire in scheduling order.
+// the next in a coarse bucket, the next two in a fine bucket, the last
+// straight into the near heap. They must fire in scheduling order.
 func TestQueueTiesAcrossStages(t *testing.T) {
 	const grid = 1.0 / 1024
 	e := NewEngine()
-	e.SetLookahead(1) // 64 buckets of 16 grid steps
-	target := 2 + 5*grid
+	e.SetLookahead(1) // 64 buckets of 16 grid steps; coarse periods of 1
+	target := 100 + 5*grid
 	var got []string
 	copyOf := func(name string, want func(QueueStats) uint64) {
 		before := want(e.QueueStats())
@@ -281,19 +357,21 @@ func TestQueueTiesAcrossStages(t *testing.T) {
 		}
 	}
 	far := func(s QueueStats) uint64 { return s.FiledFar }
+	coarse := func(s QueueStats) uint64 { return s.FiledCoarse }
 	wheel := func(s QueueStats) uint64 { return s.FiledWheel }
 	near := func(s QueueStats) uint64 { return s.FiledNear }
 
 	copyOf("far", far)
-	e.MustSchedule(1.5, "step", func(*Engine) {
+	e.MustSchedule(50, "step", func(*Engine) { copyOf("coarse", coarse) })
+	e.MustSchedule(99.5, "step", func(*Engine) {
 		copyOf("wheel-1", wheel)
 		copyOf("wheel-2", wheel)
 	})
-	e.MustSchedule(2+grid, "step", func(*Engine) { copyOf("near", near) })
-	if err := e.Run(3); err != nil {
+	e.MustSchedule(100+grid, "step", func(*Engine) { copyOf("near", near) })
+	if err := e.Run(101); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"far", "wheel-1", "wheel-2", "near"}; !slices.Equal(got, want) {
+	if want := []string{"far", "coarse", "wheel-1", "wheel-2", "near"}; !slices.Equal(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
 }
@@ -309,12 +387,12 @@ func TestQueueResetReplaysIdenticallyWithWheel(t *testing.T) {
 	e := NewEngine()
 	e.SetLookahead(2)
 	for i := 0; i < 400; i++ {
-		e.MustSchedule(float64(i)/40, "junk", func(*Engine) {})
+		e.MustSchedule(float64(i*i)/400, "junk", func(*Engine) {})
 	}
 	if err := e.Run(1.25); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.QueueStats(); st.FiledWheel == 0 || st.FiledFar == 0 || e.Pending() == 0 {
+	if st := e.QueueStats(); st.FiledWheel == 0 || st.FiledCoarse == 0 || st.FiledFar == 0 || e.Pending() == 0 {
 		t.Fatalf("the interrupted run did not use every stage: %+v, %d pending", st, e.Pending())
 	}
 	buckets := e.QueueStats().Buckets
@@ -325,7 +403,7 @@ func TestQueueResetReplaysIdenticallyWithWheel(t *testing.T) {
 	if got := traceEvents(t, e); !slices.Equal(got, want) {
 		t.Fatalf("trace: fresh %q, post-reset %q", want, got)
 	}
-	if st := e.QueueStats(); st.FiledWheel+st.FiledFar == 0 {
+	if st := e.QueueStats(); st.FiledWheel+st.FiledCoarse+st.FiledFar == 0 {
 		t.Errorf("the replay never left the near heap: %+v", st)
 	}
 }
@@ -398,8 +476,8 @@ func TestQueueSetLookahead(t *testing.T) {
 	}
 	e.SetLookahead(0) // off: everything pending moves to the near heap
 	h := e.MustSchedule(4.5, "late", func(*Engine) {})
-	if st := e.QueueStats(); e.wheelN != 0 || len(e.far) != 0 || st.FiledNear != 501 {
-		t.Fatalf("span 0 left the wheel on: wheel %d, far %d, %+v", e.wheelN, len(e.far), st)
+	if st := e.QueueStats(); e.wheelN != 0 || e.coarseN != 0 || len(e.far) != 0 || st.FiledNear != 501 {
+		t.Fatalf("span 0 left the wheels on: wheel %d, coarse %d, far %d, %+v", e.wheelN, e.coarseN, len(e.far), st)
 	}
 	e.Cancel(h)
 	if err := e.Run(10); err != nil {
@@ -466,7 +544,8 @@ func TestQueueGrowthIsBounded(t *testing.T) {
 
 // TestWheelZeroAllocSteadyState is TestRunZeroAllocSteadyState and
 // TestCancelRescheduleZeroAlloc for an engine with a span: the wheel grows
-// during the warm-up and the measured region allocates nothing.
+// during the warm-up and the measured region — fine, coarse and far filings,
+// cascades and cancels — allocates nothing.
 func TestWheelZeroAllocSteadyState(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -484,6 +563,12 @@ func TestWheelZeroAllocSteadyState(t *testing.T) {
 	if st := e.QueueStats(); st.Buckets < 2*minBuckets || st.FiledWheel < 300*60 {
 		t.Fatalf("warm-up did not grow or use the wheel: %+v", st)
 	}
+	// Round timers: one fires every simulated second and one is armed 20 s
+	// (10 spans) ahead, so the coarse wheel files and cascades.
+	for k := 1; k <= 20; k++ {
+		e.MustScheduleData(65+float64(k), "round", tickData, Data{Ctx: &count, I1: -1})
+	}
+	coarse := e.QueueStats().FiledCoarse
 	next := 65.0
 	avg := testing.AllocsPerRun(100, func() {
 		if err := e.Run(next); err != nil {
@@ -494,8 +579,12 @@ func TestWheelZeroAllocSteadyState(t *testing.T) {
 		far = e.MustScheduleData(1<<19, "timer", tickData, Data{Ctx: &count, I1: -1})
 		h := e.MustScheduleData(next+0.5, "timer", tickData, Data{Ctx: &count, I1: -1})
 		e.Cancel(h)
+		e.MustScheduleData(next+20, "round", tickData, Data{Ctx: &count, I1: -1})
 	})
 	if avg != 0 {
 		t.Errorf("steady state with a span allocates %.2f times per simulated second, want 0", avg)
+	}
+	if filed := e.QueueStats().FiledCoarse - coarse; filed != 101 {
+		t.Errorf("%d round timers filed coarse in the measured region, want 101", filed)
 	}
 }

@@ -17,35 +17,47 @@
 //
 // # The queue
 //
-// Pending events wait in three stages with one firing order, (at, seq):
+// Pending events wait in four stages with one firing order, (at, seq):
 //
 //   - the near heap, a 4-ary min-heap over (at, seq). Events fire from its
 //     root and from nowhere else;
-//   - the wheel, an array of time buckets (intrusive doubly linked lists,
-//     an occupancy bitmap) covering the ticks after the current one, cur.
-//     Filing and canceling are O(1) and compare nothing;
+//   - the fine wheel, an array of time buckets (intrusive doubly linked
+//     lists, an occupancy bitmap) covering the ticks after the current one,
+//     cur. Filing and canceling are O(1) and compare nothing;
+//   - the coarse wheel, 64 more buckets of the same kind, one per period of
+//     `buckets` ticks — one span —, for the periods after cur's (round
+//     timers);
 //   - the far heap, the same heap implementation, for events beyond the
-//     wheel's window (round timers, samplers).
+//     coarse wheel's window (samplers, long round timers).
 //
-// tick(t) = uint64(t · buckets/span) numbers the buckets. An event with
-// tick ≤ cur files near, one with tick − cur < buckets files in bucket
-// tick mod buckets, anything later files far. When the near heap runs empty
-// the wheel turns: cur becomes the next occupied tick, far entries that now
-// fall inside the window move into their buckets, and bucket cur is loaded
-// into the near heap.
+// tick(t) = uint64(t · buckets/span) numbers the buckets and the period of
+// a tick is tick / buckets. An event with tick ≤ cur files near, one with
+// tick − cur < buckets files in fine bucket tick mod buckets, a later one
+// whose period is less than 64 periods after cur's in coarse bucket
+// period mod 64, anything later files far. When the near heap runs empty
+// the wheel turns: while the fine wheel's next occupied tick is in cur's
+// period, cur becomes that tick; otherwise cur cascades to the first tick
+// of the least period that holds an event, coarse bucket of that period and
+// far entries that now fall inside the coarse window are re-filed, and
+// fine buckets fill the near heap tick by tick as before.
 //
-// The ordering argument is one sentence: tick is monotone in t, so every
+// The ordering argument is two sentences. tick is monotone in t, so every
 // entry outside the near heap (tick > cur) is strictly later than every
 // entry inside it (tick ≤ cur), and the near heap is a proper heap over
 // (at, seq) — hence the root of the near heap is the minimum of everything
-// pending, whatever the span and the bucket count are. A run that turns
-// the wheel past the clock and then stops at its horizon is harmless for
-// the same reason: a later push with tick ≤ cur lands in the near heap.
+// pending, whatever the span and the bucket count are. A period is monotone
+// in the tick and every coarse and far entry lies in a later period than
+// cur's, so the fine wheel's next tick in cur's period is the next tick of
+// all, and a cascade re-files a whole period before any of it is loaded. A
+// run that turns the wheel past the clock and then stops at its horizon is
+// harmless for the same reason: a later push with tick ≤ cur lands in the
+// near heap.
 //
 // The span is the only input (SetLookahead; transport.Network derives it
-// from the delay model's bound d) and the bucket count sizes itself like a
-// hash table. With no span every tick is 0 and every event files near: the
-// wheel is an accelerator in front of the heap, not a second engine.
+// from the delay model's bound d), the fine bucket count sizes itself like a
+// hash table and the coarse geometry follows from the fine one. With no span
+// every tick is 0 and every event files near: the wheels are an accelerator
+// in front of the heap, not a second engine.
 package sim
 
 import (
@@ -109,16 +121,18 @@ type Engine struct {
 	free   []int32
 
 	// The queue (queue.go): near and far are heaps ordered by (at, seq);
-	// head[b] is the first slot of bucket b (-1 when empty), occ has one bit
-	// per non-empty bucket and wheelN counts the wheel's entries. cur is
-	// the tick the near heap serves; scale = buckets/span maps time to
-	// ticks and is 0 while no span is set.
-	near, far   []entry
-	head        []int32
-	occ         []uint64
-	wheelN      int
-	cur         uint64
-	span, scale float64
+	// head[b] is the first slot of bucket b (-1 when empty) — the fine
+	// wheel's buckets, then the 64 coarse ones —, occ has one bit per
+	// non-empty bucket, and wheelN and coarseN count the two wheels'
+	// entries. cur is the tick the near heap serves and edge the first tick
+	// of the next period; scale = buckets/span maps time to ticks and is 0
+	// while no span is set.
+	near, far       []entry
+	head            []int32
+	occ             []uint64
+	wheelN, coarseN int
+	cur, edge       uint64
+	span, scale     float64
 
 	seq uint64
 
@@ -131,11 +145,11 @@ type Engine struct {
 
 	stats QueueStats
 
-	// Pad 280 bytes of fields to five full cache lines (320 bytes): the
+	// Pad 304 bytes of fields to five full cache lines (320 bytes): the
 	// loop writes now, processed and nowBits on every event, and a Sweep
 	// runs one engine per worker, so engines allocated side by side must
 	// not share a line (measured: +12 % per sweep batch without it).
-	_ [40]byte
+	_ [16]byte
 }
 
 // NewEngine returns an engine with the clock at time 0.
@@ -177,7 +191,7 @@ func (e *Engine) Progress() Progress {
 }
 
 // Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.near) + e.wheelN + len(e.far) }
+func (e *Engine) Pending() int { return len(e.near) + e.wheelN + e.coarseN + len(e.far) }
 
 // ErrPast is returned when an event is scheduled before the current time.
 var ErrPast = errors.New("sim: schedule time is in the past")
@@ -303,6 +317,10 @@ func (e *Engine) Cancel(h Handle) bool {
 		e.heapRemove(&e.near, int(s.pos))
 	case inWheel:
 		e.unlink(h.id)
+		e.wheelN--
+	case inCoarse:
+		e.unlink(h.id)
+		e.coarseN--
 	case inFar:
 		e.heapRemove(&e.far, int(s.pos))
 	default:
@@ -333,7 +351,7 @@ func (e *Engine) Reset() {
 		e.release(id)
 		id = next
 	}
-	e.cur = 0
+	e.setCur(0)
 	e.stats = QueueStats{}
 	e.seq = 0
 	e.setNow(0)
