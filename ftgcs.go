@@ -52,6 +52,7 @@ import (
 	"ftgcs/internal/graph"
 	"ftgcs/internal/metrics"
 	"ftgcs/internal/params"
+	"ftgcs/internal/sim"
 )
 
 // Re-exported configuration types. These aliases let callers configure
@@ -79,18 +80,22 @@ const (
 	PresetPractical   = params.Practical
 )
 
-// System is a runnable FTGCS simulation.
+// System is a runnable FTGCS simulation: Algorithm 1 on the core
+// package, the only implementation of the algorithm in the repository.
+// Comparison baselines such as internal/baseline's TreeSync are separate
+// system types, not Systems.
 type System struct {
-	// sys is the standard core system, nil when a custom Backend
-	// (WithBackend) drives the run; core-specific accessors are then
-	// inert.
 	sys *core.System
-	b   Backend
-	p   params.Params
 }
 
+// Progress is a cross-goroutine-safe snapshot of a running system: how
+// many simulation events have executed (Events) and how far simulated
+// time has advanced (Now, seconds). Both fields are monotone within one
+// run.
+type Progress = sim.Progress
+
 // Params returns the derived algorithm constants.
-func (s *System) Params() Params { return s.p }
+func (s *System) Params() Params { return s.sys.Params() }
 
 // Run is RunContext without cancellation.
 func (s *System) Run(until float64) error {
@@ -104,81 +109,64 @@ func (s *System) Run(until float64) error {
 // cancellation is identical to an uncanceled run's, so resuming with a
 // later Run/RunContext call continues deterministically.
 func (s *System) RunContext(ctx context.Context, until float64) error {
-	return s.b.RunContext(ctx, until)
+	return s.sys.RunContext(ctx, until)
 }
 
+// Reset rewinds the system to a fresh pre-run state under the new seed,
+// reusing every structure Build allocated. A subsequent Run produces
+// output byte-identical to a freshly built System with that seed and the
+// same structural build inputs — note a system built from a randomized
+// named topology keeps its already-drawn graph (reset never redraws
+// structure; the Sweep reuse path therefore only kicks in for scenarios
+// sharing a pinned *Topology). An error leaves the system in an undefined
+// state — discard it. Values read from a previous run that alias live
+// system state (Series pointers, RoundTrace slices) are invalidated by a
+// Reset: clone what must outlive it.
+func (s *System) Reset(seed int64) error { return s.sys.Reset(seed) }
+
 // Now returns the current simulated time.
-func (s *System) Now() float64 { return s.b.Now() }
+func (s *System) Now() float64 { return s.sys.Now() }
 
 // Progress returns a snapshot of the run: simulation events executed and
 // current simulated time. Unlike every other System method it is safe to
 // call from any goroutine while Run/RunContext is in flight — it is how
 // the experiment service reports live progress on running jobs.
-func (s *System) Progress() Progress { return s.b.Progress() }
+func (s *System) Progress() Progress { return s.sys.Progress() }
 
-// Logical returns node v's logical clock L_v at the current time (NaN for
-// custom-backend systems).
-func (s *System) Logical(v int) float64 {
-	if s.sys == nil {
-		return math.NaN()
-	}
-	return s.sys.Logical(v)
-}
+// Logical returns node v's logical clock L_v at the current time.
+func (s *System) Logical(v int) float64 { return s.sys.Logical(v) }
 
 // ClusterClock returns cluster c's clock L_C = (L⁺+L⁻)/2 over its correct
-// members (Definition 3.3); NaN for custom-backend systems.
-func (s *System) ClusterClock(c int) float64 {
-	if s.sys == nil {
-		return math.NaN()
-	}
-	return s.sys.ClusterClock(c)
-}
+// members (Definition 3.3).
+func (s *System) ClusterClock(c int) float64 { return s.sys.ClusterClock(c) }
 
 // Estimate returns node v's estimate L̃_vB of neighboring cluster b's
-// clock (NaN if b is not adjacent to v's cluster, or for custom-backend
-// systems).
-func (s *System) Estimate(v, b int) float64 {
-	if s.sys == nil {
-		return math.NaN()
-	}
-	return s.sys.Estimate(v, b)
-}
+// clock (NaN if b is not adjacent to v's cluster).
+func (s *System) Estimate(v, b int) float64 { return s.sys.Estimate(v, b) }
 
-// Nodes returns the number of physical nodes (|𝒞|·k); 0 for
-// custom-backend systems.
-func (s *System) Nodes() int {
-	if s.sys == nil {
-		return 0
-	}
-	return s.sys.Aug().Net.N()
-}
+// Nodes returns the number of physical nodes (|𝒞|·k).
+func (s *System) Nodes() int { return s.sys.Aug().Net.N() }
 
-// Clusters returns the number of clusters |𝒞|; 0 for custom-backend
-// systems.
-func (s *System) Clusters() int {
-	if s.sys == nil {
-		return 0
-	}
-	return s.sys.Aug().Clusters()
-}
+// Clusters returns the number of clusters |𝒞|.
+func (s *System) Clusters() int { return s.sys.Aug().Clusters() }
 
 // Diameter returns the hop diameter of the base graph.
-func (s *System) Diameter() int { return s.b.Diameter() }
+func (s *System) Diameter() int { return s.sys.Diameter() }
 
 // Series exposes a recorded metric time series (see the core package's
 // Series* constants re-exported below), or nil.
-func (s *System) Series(name string) *metrics.Series { return s.b.Recorder().Series(name) }
+func (s *System) Series(name string) *metrics.Series { return s.sys.Recorder().Series(name) }
 
 // WriteCSV exports the recorded metric series (all by default) as CSV for
 // plotting; one row per sample time, one column per series.
 func (s *System) WriteCSV(w io.Writer, names ...string) error {
-	return s.b.Recorder().WriteCSV(w, names...)
+	return s.sys.Recorder().WriteCSV(w, names...)
 }
 
 // WriteJSON exports the recorded metric series (all by default) as a JSON
 // document; lossless sibling of WriteCSV.
 func (s *System) WriteJSON(w io.Writer, names ...string) error {
-	return s.b.Recorder().WriteJSON(w, names...)
+	return s.sys.Recorder().WriteJSON(w, names...)
 }
 
 // Summary condenses a finished run: maxima of every recorded skew series
@@ -187,24 +175,16 @@ type Summary = core.Summary
 
 // Summary computes the run summary, excluding samples before warmup
 // (pass 0 to include everything).
-func (s *System) Summary(warmup float64) Summary { return s.b.Summarize(warmup) }
+func (s *System) Summary(warmup float64) Summary { return s.sys.Summarize(warmup) }
 
 // PulseDiameters returns ‖p(r)‖ for cluster c indexed by round, for rounds
 // where every correct member pulsed (see the pulse-diameter convergence
-// experiment); nil for custom-backend systems.
-func (s *System) PulseDiameters(c ClusterID) map[int]float64 {
-	if s.sys == nil {
-		return nil
-	}
-	return s.sys.PulseDiameters(c)
-}
+// experiment).
+func (s *System) PulseDiameters(c ClusterID) map[int]float64 { return s.sys.PulseDiameters(c) }
 
 // RoundTrace returns node v's recorded round boundaries (times, logical
 // values, modes). Empty unless the scenario enabled WithRoundTracking.
 func (s *System) RoundTrace(v NodeID) (times, values []float64, modes []int8) {
-	if s.sys == nil {
-		return nil, nil, nil
-	}
 	return s.sys.RoundTrace(v)
 }
 
@@ -212,9 +192,6 @@ func (s *System) RoundTrace(v NodeID) (times, values []float64, modes []int8) {
 // at the current simulation time — a transient fault outside the
 // algorithm's fault model (see the self-stabilization ablation).
 func (s *System) InjectClockFault(v NodeID, delta float64) error {
-	if s.sys == nil {
-		return fmt.Errorf("ftgcs: InjectClockFault is not supported on custom-backend systems")
-	}
 	return s.sys.InjectClockFault(v, delta)
 }
 
@@ -273,7 +250,8 @@ func (r Report) String() string {
 // Report computes the run summary, excluding the first 10% as warmup.
 func (s *System) Report() Report {
 	warmup := s.Now() / 10
-	sum := s.b.Summarize(warmup)
+	sum := s.sys.Summarize(warmup)
+	p := s.sys.Params()
 	d := s.Diameter()
 	clean := func(v float64) float64 {
 		if math.IsInf(v, -1) {
@@ -285,11 +263,11 @@ func (s *System) Report() Report {
 		Horizon:             sum.Horizon,
 		Warmup:              warmup,
 		MaxIntraClusterSkew: clean(sum.MaxIntraSkew),
-		IntraClusterBound:   s.p.ClusterSkewBound(),
+		IntraClusterBound:   p.ClusterSkewBound(),
 		MaxLocalSkew:        clean(sum.MaxLocalNode),
-		LocalSkewBound:      s.p.NodeLocalSkewBound(d),
+		LocalSkewBound:      p.NodeLocalSkewBound(d),
 		MaxGlobalSkew:       clean(sum.MaxGlobal),
-		GlobalSkewBound:     s.p.GlobalSkewBound(d),
+		GlobalSkewBound:     p.GlobalSkewBound(d),
 		Events:              sum.Events,
 	}
 }

@@ -334,10 +334,6 @@ func (s *System) RunContext(ctx context.Context, until float64) error {
 	return s.eng.RunContext(ctx, until)
 }
 
-// Progress returns a cross-goroutine-safe run snapshot (events executed,
-// current sim time).
-func (s *System) Progress() sim.Progress { return s.eng.Progress() }
-
 // Logical returns node v's logical clock at the current time.
 func (s *System) Logical(v graph.NodeID) float64 {
 	now := s.eng.Now()
@@ -388,20 +384,10 @@ func (s *System) sample(t float64) {
 // Recorder returns the metrics recorder.
 func (s *System) Recorder() *metrics.Recorder { return s.rec }
 
-// Engine returns the simulation engine.
-func (s *System) Engine() *sim.Engine { return s.eng }
-
-// Now returns the current simulated time.
-func (s *System) Now() float64 { return s.eng.Now() }
-
-// Diameter returns the hop diameter of the base graph.
-func (s *System) Diameter() int { return s.cfg.Base.Diameter() }
-
 // Summarize condenses the run through core.Summarize, the same function
-// the FTGCS backend uses (−Inf for series TreeSync does not record, e.g.
-// node-level local skew). Together with Now and Diameter this makes
-// *System a ftgcs.Backend, so the E9 baseline arms run through the
-// standard Scenario/Sweep machinery.
+// the FTGCS system uses (−Inf for series TreeSync does not record, e.g.
+// node-level local skew), so experiment E9 compares the two algorithms on
+// one definition.
 func (s *System) Summarize(warmup float64) core.Summary {
 	return core.Summarize(s.rec, s.eng.Now(), s.eng.Processed(), warmup)
 }

@@ -31,6 +31,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -81,8 +82,8 @@ type Stats struct {
 	Misses  uint64 `json:"misses"`
 	Puts    uint64 `json:"puts"`
 	Evicted uint64 `json:"evicted"`
-	// Corrupt counts objects that failed the checksum on read or scan and
-	// were removed (each read as a miss, not an error).
+	// Corrupt counts objects that failed envelope validation on read or
+	// scan and were removed (each read as a miss, not an error).
 	Corrupt uint64 `json:"corrupt"`
 	// BytesRead/BytesWritten total the payload bytes served by Get hits
 	// and persisted by successful Puts — the store's IO volume, distinct
@@ -171,11 +172,16 @@ func (s *Store) scan() error {
 			return nil
 		}
 		payload, err := readObject(s.fs, path)
-		if err != nil {
+		if errors.Is(err, errCorrupt) {
 			// Truncated or corrupt: drop it now so the index only ever
 			// holds objects that will actually read back.
 			s.stats.Corrupt++
 			s.fs.Remove(path)
+			return nil
+		}
+		if err != nil {
+			// Unreadable for now: leave it on disk unindexed; a later
+			// Get adopts it once it reads back.
 			return nil
 		}
 		info, err := d.Info()
@@ -203,7 +209,8 @@ func (s *Store) scan() error {
 // corrupt object is a miss (ok=false), never an error: the caller's
 // contract is "recompute on miss", and a store that has lost an object —
 // however it lost it — is simply a store that does not have it. Corrupt
-// objects are removed on detection. A hit refreshes the object's recency
+// objects are removed on detection; an object that merely fails to open
+// or read is kept for the next Get. A hit refreshes the object's recency
 // (in the index and on the file mtime, so recency survives restarts).
 func (s *Store) Get(key string) (payload []byte, ok bool) {
 	path, err := s.path(key)
@@ -215,13 +222,18 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rerr != nil {
-		if !os.IsNotExist(rerr) {
-			// The file exists but fails validation: corruption. Remove it
-			// so the slot is honest about being empty.
+		switch {
+		case errors.Is(rerr, errCorrupt):
+			// The file exists but fails validation. Remove it so the slot
+			// is honest about being empty.
 			s.stats.Corrupt++
 			s.fs.Remove(path)
+			s.removeIndexLocked(key)
+		case os.IsNotExist(rerr):
+			s.removeIndexLocked(key)
 		}
-		s.removeIndexLocked(key)
+		// Any other error (a failed open, an I/O error) is transient as
+		// far as the store can tell: keep the object and its entry.
 		s.stats.Misses++
 		return nil, false
 	}
@@ -470,37 +482,49 @@ func isLowerHex(s string) bool {
 	return true
 }
 
-// readObject reads and validates one envelope. Any deviation — short
-// header, bad magic, length mismatch, digest mismatch — is an error the
-// caller treats as a miss.
+// errCorrupt marks an envelope that was read and failed validation: short
+// header or payload, bad magic, implausible length, trailing bytes or a
+// digest mismatch. Only such an object is proven bad and may be deleted;
+// any other read error (a failed open, an I/O error) says nothing about
+// the bytes on disk.
+var errCorrupt = errors.New("cas: corrupt object")
+
+// readObject reads and validates one envelope. A validation failure wraps
+// errCorrupt; an error from the filesystem itself never does.
 func readObject(fsys FS, path string) ([]byte, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	short := func(what string, err error) error {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return fmt.Errorf("%w: short %s", errCorrupt, what)
+		}
+		return fmt.Errorf("cas: read %s: %w", what, err)
+	}
 	hdr := make([]byte, headerSize)
 	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, fmt.Errorf("cas: short header: %w", err)
+		return nil, short("header", err)
 	}
 	if [8]byte(hdr[:8]) != magic {
-		return nil, fmt.Errorf("cas: bad magic")
+		return nil, fmt.Errorf("%w: bad magic", errCorrupt)
 	}
 	n := binary.BigEndian.Uint64(hdr[8:16])
 	if n > MaxObjectBytes {
-		return nil, fmt.Errorf("cas: implausible length %d", n)
+		return nil, fmt.Errorf("%w: implausible length %d", errCorrupt, n)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, fmt.Errorf("cas: short payload: %w", err)
+		return nil, short("payload", err)
 	}
 	// Trailing garbage after the payload means the envelope was not
 	// written by us in one piece; reject it too.
 	if extra, _ := f.Read(make([]byte, 1)); extra != 0 {
-		return nil, fmt.Errorf("cas: trailing bytes")
+		return nil, fmt.Errorf("%w: trailing bytes", errCorrupt)
 	}
 	if sha256.Sum256(payload) != [sha256.Size]byte(hdr[16:]) {
-		return nil, fmt.Errorf("cas: digest mismatch")
+		return nil, fmt.Errorf("%w: digest mismatch", errCorrupt)
 	}
 	return payload, nil
 }

@@ -99,6 +99,85 @@ func TestPutENOSPCImmediate(t *testing.T) {
 	}
 }
 
+// TestPutRenameFailureLeavesNoStrayFile: a Put whose final rename fails
+// errors out, leaves neither an object nor its temp file behind, and
+// does not touch the index; a healed filesystem stores the key normally.
+func TestPutRenameFailureLeavesNoStrayFile(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &FaultFS{}
+	s, err := Open(dir, Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("r"), 512)
+	ffs.FailRenames(syscall.EIO)
+	if err := s.Put(faultKey(2), payload); err == nil {
+		t.Fatal("Put must fail when the rename fails")
+	}
+	objects, temps := listFiles(t, dir)
+	if len(objects)+len(temps) != 0 {
+		t.Fatalf("stray files after failed rename: obj=%v tmp=%v", objects, temps)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("failed rename changed Len to %d", s.Len())
+	}
+
+	ffs.Heal()
+	if err := s.Put(faultKey(2), payload); err != nil {
+		t.Fatalf("Put after heal: %v", err)
+	}
+	if got, ok := s.Get(faultKey(2)); !ok || !bytes.Equal(got, payload) {
+		t.Fatal("healed store does not serve the payload back")
+	}
+}
+
+// TestGetOpenFailureKeepsObject: a Get whose open fails for a reason
+// other than absence (out of file descriptors) is a miss, but proves
+// nothing about the bytes on disk: the acknowledged object, its index
+// entry and the Corrupt counter are untouched, and the next Get hits.
+func TestGetOpenFailureKeepsObject(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &FaultFS{}
+	s, err := Open(dir, Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("o"), 512)
+	if err := s.Put(faultKey(3), payload); err != nil {
+		t.Fatal(err)
+	}
+	ffs.FailOpens(syscall.EMFILE)
+	if _, ok := s.Get(faultKey(3)); ok {
+		t.Fatal("Get with every open failing must miss")
+	}
+	ffs.Heal()
+
+	if objects, _ := listFiles(t, dir); len(objects) != 1 {
+		t.Fatalf("open failure deleted the object: %v", objects)
+	}
+	if st := s.Stats(); st.Corrupt != 0 || st.Objects != 1 {
+		t.Fatalf("open failure counted as corruption: corrupt=%d objects=%d", st.Corrupt, st.Objects)
+	}
+	if got, ok := s.Get(faultKey(3)); !ok || !bytes.Equal(got, payload) {
+		t.Fatal("object unreadable after the open failure healed")
+	}
+
+	// The same holds for the scan of a reopened store: the object stays
+	// on disk, and a Get after healing adopts it.
+	ffs.FailOpens(syscall.EMFILE)
+	s2, err := Open(dir, Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.Heal()
+	if st := s2.Stats(); st.Corrupt != 0 {
+		t.Fatalf("scan counted an open failure as corruption: corrupt=%d", st.Corrupt)
+	}
+	if got, ok := s2.Get(faultKey(3)); !ok || !bytes.Equal(got, payload) {
+		t.Fatal("scan under open failures lost the object")
+	}
+}
+
 // TestConcurrentGetOnCorruptionIsMissAndRemove: bit rot surfacing while
 // many readers race the same key reads as a miss for every one of them
 // — never an error, never bad payload bytes — and the corrupt file is

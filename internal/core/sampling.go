@@ -182,9 +182,10 @@ func (s *System) Summarize(warmup float64) Summary {
 	return Summarize(s.rec, s.eng.Now(), s.eng.Processed(), warmup)
 }
 
-// Summarize condenses a recorded run of either backend: the maximum of
-// every skew series after warmup (−Inf for a series rec does not hold),
-// with the run's horizon and event count.
+// Summarize condenses a recorded run of the FTGCS system or of a
+// comparison baseline (internal/baseline): the maximum of every skew
+// series after warmup (−Inf for a series rec does not hold), with the
+// run's horizon and event count.
 func Summarize(rec *metrics.Recorder, horizon float64, events uint64, warmup float64) Summary {
 	get := func(name string) float64 {
 		if ser := rec.Series(name); ser != nil {

@@ -90,9 +90,9 @@ func runE8(rc RunConfig) (*Table, error) {
 // skew grows linearly in D under the delay-bias reveal adversary, while
 // FTGCS stays flat/logarithmic.
 //
-// The TreeSync runs use the baseline package's own system type, mounted
-// as a custom ftgcs.Backend, so all three arms — FTGCS, TreeSync steady,
-// TreeSync reveal — go through one Scenario sweep.
+// The FTGCS arm runs as a Scenario sweep; the TreeSync arms run the
+// baseline package's own system type directly, in sequence, with the same
+// seed, parameters, horizon and warmup.
 func runE9(rc RunConfig) (*Table, error) {
 	// Larger uncertainty makes the per-hop bias (±U/2) the dominant term.
 	cfg := params.Config{Rho: 1e-3, Delay: 1e-3, Uncertainty: 5e-4, C2: 4, Eps: 0.25, KStable: 1, CGlobal: 8}
@@ -109,31 +109,9 @@ func runE9(rc RunConfig) (*Table, error) {
 	horizon := rounds * p.T
 	fine := (p.Delay + p.EG) / 2 // sample fast enough to catch wavefronts
 
-	// One combined sweep: the FTGCS arm (one scenario per diameter),
-	// followed by the TreeSync steady/reveal pairs on the baseline
-	// backend. Every arm reports the peak cluster-level local skew after
-	// a horizon/3 warmup through the same observer.
-	observeLocal := ftgcs.WithObserver(func(sys *ftgcs.System) (any, error) {
-		return sys.Summary(horizon / 3).MaxLocalCluster, nil
-	})
-	treeScenario := func(name string, d int, delay core.DelayModel) *ftgcs.Scenario {
-		return ftgcs.NewScenario(
-			ftgcs.WithName("%s", name),
-			ftgcs.WithDerivedParams(p),
-			ftgcs.WithSeed(rc.Seed+90),
-			ftgcs.WithHorizon(horizon),
-			ftgcs.WithBackend(func(seed int64, p ftgcs.Params) (ftgcs.Backend, error) {
-				return baseline.NewSystem(baseline.Config{
-					Base: graph.Line(d + 1), Root: 0, K: 4, F: 1, Params: p, Seed: seed,
-					Drift:          core.GradientDrift{},
-					Delay:          delay,
-					SampleInterval: fine,
-				})
-			}),
-			observeLocal,
-		)
-	}
-	scenarios := make([]*ftgcs.Scenario, 0, 3*len(diameters))
+	// Every arm reports the peak cluster-level local skew after a
+	// horizon/3 warmup.
+	scenarios := make([]*ftgcs.Scenario, 0, len(diameters))
 	for _, d := range diameters {
 		scenarios = append(scenarios, ftgcs.NewScenario(
 			ftgcs.WithName("FTGCS D=%d", d),
@@ -146,18 +124,29 @@ func runE9(rc RunConfig) (*Table, error) {
 			ftgcs.WithGlobalSkew(false),
 			ftgcs.WithSampleInterval(fine),
 			ftgcs.WithHorizonRounds(rounds),
-			observeLocal,
+			ftgcs.WithObserver(func(sys *ftgcs.System) (any, error) {
+				return sys.Summary(horizon / 3).MaxLocalCluster, nil
+			}),
 		))
-	}
-	for _, d := range diameters {
-		scenarios = append(scenarios,
-			treeScenario(fmt.Sprintf("TreeSync steady D=%d", d), d, core.ExtremalDelayModel{}),
-			treeScenario(fmt.Sprintf("TreeSync reveal D=%d", d), d, core.PhasedRevealDelayModel{SwitchAt: horizon / 2}),
-		)
 	}
 	results, err := rc.runSweep(scenarios)
 	if err != nil {
 		return nil, err
+	}
+	treeSync := func(name string, d int, delay core.DelayModel) (float64, error) {
+		sys, err := baseline.NewSystem(baseline.Config{
+			Base: graph.Line(d + 1), Root: 0, K: 4, F: 1, Params: p, Seed: rc.Seed + 90,
+			Drift:          core.GradientDrift{},
+			Delay:          delay,
+			SampleInterval: fine,
+		})
+		if err == nil {
+			err = sys.RunContext(rc.ctx(), horizon)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", name, err)
+		}
+		return sys.Summarize(horizon / 3).MaxLocalCluster, nil
 	}
 
 	tbl := &Table{
@@ -168,8 +157,14 @@ func runE9(rc RunConfig) (*Table, error) {
 	}
 	var ds, tree, gcsSkews []float64
 	for i, d := range diameters {
-		steady := results[len(diameters)+2*i].Value.(float64)
-		reveal := results[len(diameters)+2*i+1].Value.(float64)
+		steady, err := treeSync(fmt.Sprintf("TreeSync steady D=%d", d), d, core.ExtremalDelayModel{})
+		if err != nil {
+			return nil, err
+		}
+		reveal, err := treeSync(fmt.Sprintf("TreeSync reveal D=%d", d), d, core.PhasedRevealDelayModel{SwitchAt: horizon / 2})
+		if err != nil {
+			return nil, err
+		}
 		gcsSkew := results[i].Value.(float64)
 
 		ds = append(ds, float64(d))

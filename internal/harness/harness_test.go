@@ -47,32 +47,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestQuickExperiments runs every experiment and ablation in quick mode:
-// the cheapest full-pipeline integration check the repository has.
-func TestQuickExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick experiments still cost seconds")
-	}
-	for _, e := range append(All(), Ablations()...) {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tbl, err := e.Run(RunConfig{Quick: true, Seed: 1})
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if len(tbl.Rows) == 0 {
-				t.Fatalf("%s produced no rows", e.ID)
-			}
-			var buf bytes.Buffer
-			tbl.Render(&buf)
-			if buf.Len() == 0 {
-				t.Fatalf("%s rendered empty", e.ID)
-			}
-			t.Logf("\n%s", buf.String())
-		})
-	}
-}
-
 func TestOkFail(t *testing.T) {
 	if okFail(true) != "ok" || okFail(false) != "VIOLATED" {
 		t.Error("okFail markers")

@@ -241,8 +241,8 @@ func MustDerive(cfg Config) Params {
 }
 
 // LegacyAlphaBeta evaluates the unstretched Eq. (11) (the basic Lynch–Welch
-// contraction with τ₃ = ϑ_g(E+U)/ϕ and no c₁ stretching). Exposed for tests
-// and for comparison in EXPERIMENTS.md.
+// contraction with τ₃ = ϑ_g(E+U)/ϕ and no c₁ stretching). Nothing outside
+// tests calls it: it is the test oracle for Eq. (11).
 func LegacyAlphaBeta(rho, mu, phi, d, u float64) (alpha, beta float64) {
 	thetaG := (1 + rho) * (1 + mu)
 	alpha = (6*thetaG*thetaG*phi + 5*thetaG*phi - 9*phi + 2*thetaG*thetaG - 2) /
@@ -252,8 +252,8 @@ func LegacyAlphaBeta(rho, mu, phi, d, u float64) (alpha, beta float64) {
 }
 
 // ErrorSequence iterates e(r+1) = α·e(r) + β for n rounds from e1 and
-// returns the sequence e(1..n). It reproduces the paper's Eq. (9)/(12)
-// recursion and is used to predict convergence in experiment E3.
+// returns the sequence e(1..n): the paper's Eq. (9) recursion. Nothing
+// outside tests calls it: it is the test oracle for Eq. (9).
 func ErrorSequence(e1, alpha, beta float64, n int) []float64 {
 	out := make([]float64, n)
 	e := e1

@@ -23,9 +23,9 @@ type PoolStats struct {
 // mutated after its system was pooled no longer matches), scalar build
 // inputs are plain fields, and the drift, delay and attack values compare
 // as interface values (dynamic type and value — a pointer-typed attack by
-// identity). A scenario with an option error, a custom backend, an
-// unpinned named topology, a mode override, mid-run hooks or an adversary
-// of non-comparable type is not poolable: Acquire misses and Release
+// identity). A scenario with an option error, an unpinned named
+// topology, a mode override, mid-run hooks or an adversary of
+// non-comparable type is not poolable: Acquire misses and Release
 // drops the system.
 //
 // The pool is bounded: Release evicts the least-recently-returned entry
@@ -97,9 +97,8 @@ func (p *SystemPool) acquire(key buildKey, seed int64) *System {
 }
 
 // Release returns an idle system to the pool under sc's build key. A nil
-// system and a scenario that is not poolable (a custom backend never is)
-// are dropped silently. Past capacity the oldest entry is
-// evicted.
+// system and a scenario that is not poolable are dropped silently. Past
+// capacity the oldest entry is evicted.
 func (p *SystemPool) Release(sc *Scenario, sys *System) {
 	if sc == nil {
 		return

@@ -53,7 +53,6 @@ var scenarioFields = map[string]string{
 	"modeOverride":      fieldDisqualifier,
 	"observe":           fieldNonKey,
 	"hooks":             fieldDisqualifier,
-	"backend":           fieldDisqualifier,
 	"err":               fieldDisqualifier,
 }
 
@@ -181,7 +180,6 @@ func TestScenarioBuildKey(t *testing.T) {
 		{"topology-name", []string{"topoName", "topoSize"}, base(WithTopologyName("line", 3)), nil, fieldDisqualifier},
 		{"mode-override", []string{"modeOverride"}, base(WithModeOverride(func(NodeID, ClusterID, int) (int, bool) { return 0, false })), nil, fieldDisqualifier},
 		{"hook", []string{"hooks"}, base(WithMidRunHook(1, func(*System) error { return nil })), nil, fieldDisqualifier},
-		{"backend", []string{"backend"}, base(WithBackend(func(int64, Params) (Backend, error) { return nopBackend{}, nil })), nil, fieldDisqualifier},
 		{"option-error", []string{"err"}, base(WithDriftName("nope")), nil, fieldDisqualifier},
 		{"non-comparable-drift", nil, base(WithDrift(sliceDrift{})), nil, fieldDisqualifier},
 		{"non-comparable-attack", nil, base(WithAttack(sliceAttack{}, 3)), nil, fieldDisqualifier},

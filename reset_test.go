@@ -9,8 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"ftgcs/internal/metrics"
 )
 
 // resetMatrix is the feature matrix for the reset-vs-fresh differential:
@@ -234,43 +232,6 @@ func TestSystemResetAfterCanceledRun(t *testing.T) {
 		t.Fatal("replay after canceled run diverged from fresh build")
 	}
 }
-
-// TestBackendResetCapability pins the capability split: core-backed
-// systems reset, custom backends report ErrNotResettable.
-func TestBackendResetCapability(t *testing.T) {
-	sys, err := NewScenario(
-		WithTopology(Line(3)),
-		WithClusters(4, 1),
-	).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Reset(1); err != nil {
-		t.Fatalf("core backend Reset: %v", err)
-	}
-
-	stub := NewScenario(
-		WithBackend(func(seed int64, p Params) (Backend, error) {
-			return nopBackend{}, nil
-		}),
-	)
-	ssys, err := stub.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ssys.Reset(1); err != ErrNotResettable {
-		t.Fatalf("stub backend Reset err = %v, want ErrNotResettable", err)
-	}
-}
-
-type nopBackend struct{}
-
-func (nopBackend) RunContext(ctx context.Context, until float64) error { return nil }
-func (nopBackend) Now() float64                                        { return 0 }
-func (nopBackend) Progress() Progress                                  { return Progress{} }
-func (nopBackend) Summarize(warmup float64) Summary                    { return Summary{} }
-func (nopBackend) Recorder() *metrics.Recorder                         { return nil }
-func (nopBackend) Diameter() int                                       { return 1 }
 
 // TestSweepReuseDifferential runs a replicate-shaped sweep (pinned
 // topology, varying seeds, one build-breaking intruder in the middle) with

@@ -57,9 +57,6 @@ type Scenario struct {
 	observe func(sys *System) (any, error)
 	hooks   []midRunHook
 
-	// backend, when set, replaces the core system build (WithBackend).
-	backend BackendBuilder
-
 	err error // first option error, surfaced at Build
 }
 
@@ -336,9 +333,6 @@ func (s *Scenario) Build() (*System, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if s.backend != nil {
-		return s.buildBackend()
-	}
 	cfg, err := s.config()
 	if err != nil {
 		return nil, err
@@ -347,22 +341,16 @@ func (s *Scenario) Build() (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ftgcs: %w", err)
 	}
-	return &System{sys: sys, b: sys, p: cfg.Params}, nil
+	return &System{sys: sys}, nil
 }
 
 // Validate reports the error Build's checks would return, without wiring
 // a system: an option error, then the derived parameters, the topology
 // and the core configuration (cluster geometry, fault targets). A
-// WithTopologyName scenario resolves its graph to do so; a WithBackend
-// scenario checks only its parameters, since the backend is opaque until
-// it is built.
+// WithTopologyName scenario resolves its graph to do so.
 func (s *Scenario) Validate() error {
 	if s.err != nil {
 		return s.err
-	}
-	if s.backend != nil {
-		_, err := s.resolveParams()
-		return err
 	}
 	cfg, err := s.config()
 	if err != nil {
@@ -474,13 +462,13 @@ func comparableModel(m any) bool {
 
 // buildKey derives the scenario's key, or the zero key when the scenario is
 // not poolable — conservative by design, anything it cannot prove equal by
-// value disqualifies reuse: an option error; a custom backend (no reset
-// contract to rely on); an unpinned named topology (it resolves with the
-// seed); a mode override (an opaque function baked into the built
-// system); mid-run hooks (they mutate the system in ways Reset cannot
-// account for); a drift, delay or attack value of non-comparable type.
+// value disqualifies reuse: an option error; an unpinned named topology
+// (it resolves with the seed); a mode override (an opaque function baked
+// into the built system); mid-run hooks (they mutate the system in ways
+// Reset cannot account for); a drift, delay or attack value of
+// non-comparable type.
 func (s *Scenario) buildKey() buildKey {
-	if s.err != nil || s.backend != nil || s.topology == nil ||
+	if s.err != nil || s.topology == nil ||
 		s.modeOverride != nil || len(s.hooks) > 0 ||
 		!comparableModel(s.driftModel) || !comparableModel(s.delayModel) {
 		return buildKey{}
