@@ -24,7 +24,7 @@ import (
 type statsSnapshot struct {
 	// Status is "ok", or "degraded" while the disk-store breaker is open
 	// and the manager is running memory-only (jobs still complete; results
-	// are served from the LRU but not persisted). See jobs.Manager.Degraded.
+	// are served from the LRU but not persisted). See jobs.Stats.StoreDegraded.
 	Status string     `json:"status"`
 	Stats  jobs.Stats `json:"stats"`
 	Store  *cas.Stats `json:"store,omitempty"`

@@ -29,9 +29,6 @@ type BurstDelay struct {
 	Duty float64
 }
 
-// Name implements ftgcs.DelayModel.
-func (BurstDelay) Name() string { return "burst" }
-
 // Build implements ftgcs.DelayModel.
 func (m BurstDelay) Build(p ftgcs.Params, rng *ftgcs.RNG) ftgcs.MessageDelays {
 	period := m.Period

@@ -81,6 +81,9 @@ func run(ctx context.Context, args []string) error {
 	if *specPath != "" {
 		return runSpecFile(ctx, *specPath, *csvPath, *jsonPath)
 	}
+	if *seeds > 1 && (*csvPath != "" || *jsonPath != "") {
+		return errors.New("-csv/-json export a single seed's series; drop -seeds")
+	}
 
 	// Resolve the topology once, up front: a -seeds sweep must compare the
 	// same graph across seeds even for randomized families (whose builder

@@ -35,6 +35,7 @@ func TestRunScenarios(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
+	export := filepath.Join(t.TempDir(), "series")
 	tests := [][]string{
 		{"-topology", "nonsense"},
 		{"-drift", "nonsense"},
@@ -44,11 +45,17 @@ func TestRunErrors(t *testing.T) {
 		{"-rho", "0"},          // invalid physical params
 		{"-u", "1"},            // U > d
 		{"-badflag"},           // flag parse error
+		// A sweep has no single series to export.
+		{"-topology", "line", "-size", "2", "-duration", "1", "-seeds", "2", "-csv", export},
+		{"-topology", "line", "-size", "2", "-duration", "1", "-seeds", "2", "-json", export},
 	}
 	for _, args := range tests {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("run(%v): expected error", args)
 		}
+	}
+	if _, err := os.Stat(export); !os.IsNotExist(err) {
+		t.Errorf("a rejected export wrote %s (stat: %v)", export, err)
 	}
 }
 

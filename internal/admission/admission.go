@@ -237,13 +237,6 @@ func (t *TokenBucket) evictLocked(now time.Time) {
 	}
 }
 
-// Clients returns how many client buckets are currently tracked.
-func (t *TokenBucket) Clients() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.clients)
-}
-
 // deficitWait converts a token deficit at a refill rate into a wait,
 // with a 1ms floor so a rejection never advertises an instant retry.
 func deficitWait(deficit, rate float64) time.Duration {

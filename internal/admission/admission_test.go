@@ -186,7 +186,7 @@ func TestTokenBucketClientEviction(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tb.Admit(fmt.Sprintf("client-%d", i), 1)
 	}
-	if n := tb.Clients(); n > 8 {
+	if n := len(tb.clients); n > 8 {
 		t.Fatalf("tracked clients = %d, want ≤ 8", n)
 	}
 	// A drained client evicted under churn gets a fresh (full) bucket —

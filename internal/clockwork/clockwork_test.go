@@ -1,7 +1,9 @@
 package clockwork
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +13,49 @@ import (
 const tol = 1e-9
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
+
+// Breakpoint is one segment of an explicit rate schedule.
+type Breakpoint struct {
+	Start float64 // segment start time
+	Rate  float64 // rate from Start until the next breakpoint
+}
+
+// Schedule is an explicit piecewise-constant rate plan. Before the first
+// breakpoint the rate is Initial.
+type Schedule struct {
+	Initial     float64
+	Breakpoints []Breakpoint // must be sorted by Start, strictly increasing
+}
+
+// NewSchedule validates and constructs an explicit schedule.
+func NewSchedule(initial float64, bps []Breakpoint) (*Schedule, error) {
+	for i := 1; i < len(bps); i++ {
+		if bps[i].Start <= bps[i-1].Start {
+			return nil, fmt.Errorf("clockwork: breakpoints not strictly increasing at %d", i)
+		}
+	}
+	cp := make([]Breakpoint, len(bps))
+	copy(cp, bps)
+	return &Schedule{Initial: initial, Breakpoints: cp}, nil
+}
+
+// Segment implements RateModel.
+func (s *Schedule) Segment(t float64) (float64, float64) {
+	// Find the last breakpoint with Start <= t.
+	i := sort.Search(len(s.Breakpoints), func(i int) bool { return s.Breakpoints[i].Start > t })
+	// Breakpoints[i] is the first with Start > t; segment is [i-1, i).
+	var rate float64
+	if i == 0 {
+		rate = s.Initial
+	} else {
+		rate = s.Breakpoints[i-1].Rate
+	}
+	end := math.Inf(1)
+	if i < len(s.Breakpoints) {
+		end = s.Breakpoints[i].Start
+	}
+	return rate, end
+}
 
 func TestConstantModel(t *testing.T) {
 	m := Constant{Rate: 1.5}

@@ -68,9 +68,6 @@ type Config struct {
 	// simulated value. Runs may exceed the hint; slices then grow as
 	// before.
 	HorizonHint float64
-	// TrackClusters records per-cluster clock/FC/SC series (experiment
-	// E10); costs memory proportional to samples × clusters.
-	TrackClusters bool
 	// TrackRounds records per-node round boundaries, logical values and
 	// modes (experiments E3, E4).
 	TrackRounds bool

@@ -35,8 +35,6 @@ type DriftCtx struct {
 // A DriftModel must be deterministic given the DriftCtx (randomness only
 // through ctx.Rng) so runs are reproducible under a fixed seed.
 type DriftModel interface {
-	// Name is the CLI-friendly identifier ("spread", "sine", …).
-	Name() string
 	// Rate builds the rate model for one node.
 	Rate(ctx DriftCtx) clockwork.RateModel
 }
@@ -45,8 +43,6 @@ type DriftModel interface {
 // must return transport models sampling within [d−U, d]; the transport
 // layer validates every sample.
 type DelayModel interface {
-	// Name is the CLI-friendly identifier ("uniform", "extremal", …).
-	Name() string
 	// Build constructs the transport delay model from the derived
 	// parameters and the run's delay RNG stream.
 	Build(p params.Params, rng *sim.RNG) transport.DelayModel
@@ -57,9 +53,6 @@ type DelayModel interface {
 // SpreadDrift runs member i of every cluster at 1 + ρ·i/(k−1): maximal
 // constant intra-cluster drift.
 type SpreadDrift struct{}
-
-// Name implements DriftModel.
-func (SpreadDrift) Name() string { return "spread" }
 
 // Rate implements DriftModel.
 func (SpreadDrift) Rate(ctx DriftCtx) clockwork.RateModel {
@@ -74,9 +67,6 @@ func (SpreadDrift) Rate(ctx DriftCtx) clockwork.RateModel {
 // constant inter-cluster gradient along the cluster index.
 type GradientDrift struct{}
 
-// Name implements DriftModel.
-func (GradientDrift) Name() string { return "gradient" }
-
 // Rate implements DriftModel.
 func (GradientDrift) Rate(ctx DriftCtx) clockwork.RateModel {
 	frac := 0.0
@@ -89,9 +79,6 @@ func (GradientDrift) Rate(ctx DriftCtx) clockwork.RateModel {
 // HalvesDrift runs clusters in the lower index half at 1 and the upper half
 // at 1+ρ: maximal persistent rate difference at the boundary.
 type HalvesDrift struct{}
-
-// Name implements DriftModel.
-func (HalvesDrift) Name() string { return "halves" }
 
 // Rate implements DriftModel.
 func (HalvesDrift) Rate(ctx DriftCtx) clockwork.RateModel {
@@ -107,9 +94,6 @@ type AlternatingHalvesDrift struct {
 	// Period between swaps; 0 selects 40·T.
 	Period float64
 }
-
-// Name implements DriftModel.
-func (AlternatingHalvesDrift) Name() string { return "alternating" }
 
 // Rate implements DriftModel.
 func (m AlternatingHalvesDrift) Rate(ctx DriftCtx) clockwork.RateModel {
@@ -131,9 +115,6 @@ type RandomWalkDrift struct {
 	Step float64
 }
 
-// Name implements DriftModel.
-func (RandomWalkDrift) Name() string { return "randomwalk" }
-
 // Rate implements DriftModel.
 func (m RandomWalkDrift) Rate(ctx DriftCtx) clockwork.RateModel {
 	step := m.Step
@@ -148,9 +129,6 @@ type SineDrift struct {
 	// Period of the wander; 0 selects 40·T.
 	Period float64
 }
-
-// Name implements DriftModel.
-func (SineDrift) Name() string { return "sine" }
 
 // Rate implements DriftModel.
 func (m SineDrift) Rate(ctx DriftCtx) clockwork.RateModel {
@@ -167,9 +145,6 @@ func (m SineDrift) Rate(ctx DriftCtx) clockwork.RateModel {
 // NoDrift runs every clock at exactly rate 1 (debug/reference).
 type NoDrift struct{}
 
-// Name implements DriftModel.
-func (NoDrift) Name() string { return "none" }
-
 // Rate implements DriftModel.
 func (NoDrift) Rate(DriftCtx) clockwork.RateModel { return clockwork.Constant{Rate: 1} }
 
@@ -177,9 +152,6 @@ func (NoDrift) Rate(DriftCtx) clockwork.RateModel { return clockwork.Constant{Ra
 
 // UniformDelayModel draws uniformly from [d−U, d].
 type UniformDelayModel struct{}
-
-// Name implements DelayModel.
-func (UniformDelayModel) Name() string { return "uniform" }
 
 // Build implements DelayModel.
 func (UniformDelayModel) Build(p params.Params, rng *sim.RNG) transport.DelayModel {
@@ -192,9 +164,6 @@ type ExtremalDelayModel struct {
 	Invert bool
 }
 
-// Name implements DelayModel.
-func (ExtremalDelayModel) Name() string { return "extremal" }
-
 // Build implements DelayModel.
 func (m ExtremalDelayModel) Build(p params.Params, rng *sim.RNG) transport.DelayModel {
 	return transport.ExtremalDelay{D: p.Delay, U: p.Uncertainty, Invert: m.Invert}
@@ -202,9 +171,6 @@ func (m ExtremalDelayModel) Build(p params.Params, rng *sim.RNG) transport.Delay
 
 // FixedMidDelayModel always uses d−U/2.
 type FixedMidDelayModel struct{}
-
-// Name implements DelayModel.
-func (FixedMidDelayModel) Name() string { return "fixed-mid" }
 
 // Build implements DelayModel.
 func (FixedMidDelayModel) Build(p params.Params, rng *sim.RNG) transport.DelayModel {
@@ -217,9 +183,6 @@ type PhasedRevealDelayModel struct {
 	// SwitchAt is the reveal time; 0 means never (pure extremal).
 	SwitchAt float64
 }
-
-// Name implements DelayModel.
-func (PhasedRevealDelayModel) Name() string { return "phased-reveal" }
 
 // Build implements DelayModel.
 func (m PhasedRevealDelayModel) Build(p params.Params, rng *sim.RNG) transport.DelayModel {

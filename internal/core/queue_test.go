@@ -90,7 +90,7 @@ func TestQueueWheelIsUnobservable(t *testing.T) {
 	for _, base := range bases {
 		for _, delay := range delays {
 			for _, flood := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%s/flood=%v", base.Name(), delay.Name(), flood)
+				name := fmt.Sprintf("%s/%T/flood=%v", base.Name(), delay, flood)
 				run := func(wheel bool) (Summary, []byte) {
 					sys, err := NewSystem(Config{
 						Base: base, K: 4, F: 1, Params: p, Seed: 3,

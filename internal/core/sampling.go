@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
-	"ftgcs/internal/gcs"
 	"ftgcs/internal/metrics"
 	"ftgcs/internal/sim"
 )
@@ -30,22 +28,6 @@ const (
 	// SeriesFastFraction is the fraction of correct nodes in fast mode.
 	SeriesFastFraction = "gcs/fast-fraction"
 )
-
-// clusterSeries formats the per-cluster series names (TrackClusters).
-func clusterSeries(c int, what string) string {
-	return fmt.Sprintf("cluster/%d/%s", c, what)
-}
-
-// ClusterSeriesClock returns the series name of cluster c's clock samples.
-func ClusterSeriesClock(c int) string { return clusterSeries(c, "clock") }
-
-// ClusterSeriesFC returns the series name of cluster c's fast-condition
-// indicator (1.0 when FC holds).
-func ClusterSeriesFC(c int) string { return clusterSeries(c, "fc") }
-
-// ClusterSeriesSC returns the series name of cluster c's slow-condition
-// indicator.
-func ClusterSeriesSC(c int) string { return clusterSeries(c, "sc") }
 
 func (s *System) scheduleSampler() {
 	var tick func(e *sim.Engine)
@@ -130,38 +112,6 @@ func (s *System) sample(t float64) {
 		s.rec.Observe(SeriesMaxEstLag, t, lag)
 		s.rec.Observe(SeriesMaxEstViolations, t, violations)
 	}
-
-	// Per-cluster tracking for the GCS-axiom experiment.
-	if s.cfg.TrackClusters {
-		p := s.cfg.Params
-		for c := 0; c < nc; c++ {
-			if !valid[c] {
-				continue
-			}
-			nbrs := s.aug.NeighborClusters(c)
-			if cap(s.nbrClockScratch) < len(nbrs) {
-				s.nbrClockScratch = make([]float64, 0, len(nbrs))
-			}
-			nbrClocks := s.nbrClockScratch[:0]
-			for _, b := range nbrs {
-				if valid[b] {
-					nbrClocks = append(nbrClocks, clocks[b])
-				}
-			}
-			fc := gcs.FastCondition(clocks[c], nbrClocks, p.Kappa)
-			sc := gcs.SlowCondition(clocks[c], nbrClocks, p.Kappa)
-			s.rec.Observe(ClusterSeriesClock(c), t, clocks[c])
-			s.rec.Observe(ClusterSeriesFC(c), t, b2f(fc))
-			s.rec.Observe(ClusterSeriesSC(c), t, b2f(sc))
-		}
-	}
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Summary condenses a finished run for reports.

@@ -73,7 +73,6 @@ type System struct {
 	// sampler scratch, reused every tick.
 	sampleLows, sampleHighs, sampleClocks []float64
 	sampleValid                           []bool
-	nbrClockScratch                       []float64
 
 	// baseEdges caches Base.Edges() — the sampler walks the edge list on
 	// every tick and the graph rebuilds (and re-sorts) it per call.
@@ -142,13 +141,6 @@ func NewSystem(cfg Config) (*System, error) {
 		if cfg.EnableGlobalSkew {
 			s.rec.Reserve(SeriesMaxEstLag, samples)
 			s.rec.Reserve(SeriesMaxEstViolations, samples)
-		}
-		if cfg.TrackClusters {
-			for c := 0; c < nc; c++ {
-				s.rec.Reserve(ClusterSeriesClock(c), samples)
-				s.rec.Reserve(ClusterSeriesFC(c), samples)
-				s.rec.Reserve(ClusterSeriesSC(c), samples)
-			}
 		}
 		// Rounds advance roughly every T seconds; +8 absorbs fast-mode
 		// compression of round length.
@@ -578,9 +570,6 @@ func (s *System) Recorder() *metrics.Recorder { return s.rec }
 // Network returns the transport layer (stats).
 func (s *System) Network() *transport.Network { return s.net }
 
-// Faulty reports whether node v is faulty.
-func (s *System) Faulty(v graph.NodeID) bool { return s.nodes[v].faulty }
-
 // Logical returns L_v at the current simulation time.
 func (s *System) Logical(v graph.NodeID) float64 {
 	return s.nodes[v].main.Value(s.eng.Now())
@@ -605,14 +594,6 @@ func (s *System) Estimate(v graph.NodeID, b graph.ClusterID) float64 {
 		return n.obsClocks[i].Value(s.eng.Now())
 	}
 	return math.NaN()
-}
-
-// MaxEstimate returns M_v at the current time (NaN when disabled).
-func (s *System) MaxEstimate(v graph.NodeID) float64 {
-	if s.nodes[v].maxEst == nil {
-		return math.NaN()
-	}
-	return s.nodes[v].maxEst.Value(s.eng.Now())
 }
 
 // clusterRange returns (min, max) of correct members' logical clocks at the
@@ -653,15 +634,6 @@ func (s *System) InstanceStats(v graph.NodeID) cluster.Stats {
 		return cluster.Stats{}
 	}
 	return s.nodes[v].inst.Stats()
-}
-
-// MaxEstStats returns node v's Appendix C estimator statistics (zero value
-// when the global-skew machinery is off or v is strategy-driven).
-func (s *System) MaxEstStats(v graph.NodeID) globalskew.Stats {
-	if s.nodes[v].maxEst == nil {
-		return globalskew.Stats{}
-	}
-	return s.nodes[v].maxEst.Stats()
 }
 
 // PulseDiameters returns ‖p(r)‖ for cluster c indexed by round, for rounds

@@ -211,11 +211,20 @@ func TestGCSStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestMaxEstStatsSurfaced reads the Appendix C estimator's counters through
-// the system: on a two-faced run every correct node hears max pulses, none
-// of them from a sender outside its groups (core wires exactly the adjacent
-// clusters, and the transport delivers over exactly those edges), and a
-// Reset zeroes them.
+// maxEstStats returns node v's Appendix C estimator statistics, the zero
+// value when v has no estimator.
+func maxEstStats(sys *System, v graph.NodeID) globalskew.Stats {
+	if sys.nodes[v].maxEst == nil {
+		return globalskew.Stats{}
+	}
+	return sys.nodes[v].maxEst.Stats()
+}
+
+// TestMaxEstStatsSurfaced reads the Appendix C estimator's counters off
+// the system's nodes: on a two-faced run every correct node hears max
+// pulses, none of them from a sender outside its groups (core wires
+// exactly the adjacent clusters, and the transport delivers over exactly
+// those edges), and a Reset zeroes them.
 func TestMaxEstStatsSurfaced(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
@@ -230,8 +239,8 @@ func TestMaxEstStatsSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < sys.Aug().Net.N(); v++ {
-		st := sys.MaxEstStats(v)
-		if sys.Faulty(v) {
+		st := maxEstStats(sys, v)
+		if sys.nodes[v].faulty {
 			if st != (globalskew.Stats{}) {
 				t.Errorf("strategy-driven node %d reports estimator stats %+v", v, st)
 			}
@@ -245,7 +254,7 @@ func TestMaxEstStatsSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < sys.Aug().Net.N(); v++ {
-		if st := sys.MaxEstStats(v); st != (globalskew.Stats{}) {
+		if st := maxEstStats(sys, v); st != (globalskew.Stats{}) {
 			t.Errorf("node %d after Reset: %+v, want zero", v, st)
 		}
 	}

@@ -115,7 +115,7 @@ func TestCrashFault(t *testing.T) {
 		t.Errorf("intra skew %v > bound %v with mid-run crash", sum.MaxIntraSkew, p.ClusterSkewBound())
 	}
 	// The crashed node is excluded from metrics but its instance ran.
-	if !sys.Faulty(2) {
+	if !sys.nodes[2].faulty {
 		t.Error("node 2 should be marked faulty")
 	}
 	if sys.InstanceStats(2).Rounds == 0 {
@@ -160,7 +160,7 @@ func TestEstimatesTrackClusterClocks(t *testing.T) {
 	aug := sys.Aug()
 	checked := 0
 	for v := 0; v < aug.Net.N(); v++ {
-		if sys.Faulty(v) {
+		if sys.nodes[v].faulty {
 			continue
 		}
 		c := aug.ClusterOf(v)
@@ -208,8 +208,8 @@ func TestGlobalSkewMachinery(t *testing.T) {
 	if math.IsInf(sum.MaxMaxEstLag, -1) {
 		t.Error("no max-estimate samples recorded")
 	}
-	if math.IsNaN(sys.MaxEstimate(0)) {
-		t.Error("MaxEstimate should be available")
+	if sys.nodes[0].maxEst == nil {
+		t.Error("max estimator should be wired")
 	}
 }
 
@@ -251,28 +251,6 @@ func TestModeOverride(t *testing.T) {
 	}
 	if !fastSeen {
 		t.Error("override did not force fast mode")
-	}
-}
-
-func TestTrackClustersSeries(t *testing.T) {
-	p := testParams(t)
-	sys, err := NewSystem(Config{
-		Base: graph.Line(2), K: 4, F: 0, Params: p, Seed: 8,
-		TrackClusters: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(10 * p.T); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 2; c++ {
-		if sys.Recorder().Series(ClusterSeriesClock(c)) == nil {
-			t.Errorf("missing clock series for cluster %d", c)
-		}
-		if sys.Recorder().Series(ClusterSeriesFC(c)) == nil {
-			t.Errorf("missing FC series for cluster %d", c)
-		}
 	}
 }
 
@@ -331,13 +309,13 @@ func TestDriftModels(t *testing.T) {
 			Drift: m,
 		})
 		if err != nil {
-			t.Fatalf("drift %s: %v", m.Name(), err)
+			t.Fatalf("drift %T: %v", m, err)
 		}
 		if err := sys.Run(10 * p.T); err != nil {
-			t.Fatalf("drift %s run: %v", m.Name(), err)
+			t.Fatalf("drift %T run: %v", m, err)
 		}
 		if sum := sys.Summarize(0); sum.MaxIntraSkew > p.ClusterSkewBound() {
-			t.Errorf("drift %s: intra skew %v > bound %v", m.Name(), sum.MaxIntraSkew, p.ClusterSkewBound())
+			t.Errorf("drift %T: intra skew %v > bound %v", m, sum.MaxIntraSkew, p.ClusterSkewBound())
 		}
 	}
 }
@@ -356,13 +334,13 @@ func TestDelayModels(t *testing.T) {
 			Delay: m,
 		})
 		if err != nil {
-			t.Fatalf("delay %s: %v", m.Name(), err)
+			t.Fatalf("delay %T: %v", m, err)
 		}
 		if err := sys.Run(15 * p.T); err != nil {
-			t.Fatalf("delay %s run: %v", m.Name(), err)
+			t.Fatalf("delay %T run: %v", m, err)
 		}
 		if sum := sys.Summarize(0); sum.MaxIntraSkew > p.ClusterSkewBound() {
-			t.Errorf("delay %s: intra skew %v > bound", m.Name(), sum.MaxIntraSkew)
+			t.Errorf("delay %T: intra skew %v > bound", m, sum.MaxIntraSkew)
 		}
 	}
 }

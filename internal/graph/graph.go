@@ -164,19 +164,6 @@ func (g *Graph) BFS(src NodeID) []int {
 	return dist
 }
 
-// Connected reports whether the graph is connected (true for n ≤ 1).
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	for _, d := range g.BFS(0) {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Diameter returns the hop diameter, or -1 if the graph is disconnected or
 // empty.
 func (g *Graph) Diameter() int {

@@ -6,7 +6,6 @@ import (
 
 	"ftgcs"
 	"ftgcs/internal/byzantine"
-	"ftgcs/internal/core"
 	"ftgcs/internal/gcs"
 	"ftgcs/internal/graph"
 	"ftgcs/internal/sim"
@@ -98,10 +97,34 @@ func runE10(rc RunConfig) (*Table, error) {
 			}
 			return 0, true
 		}),
-		ftgcs.WithClusterTracking(),
 	).Build()
 	if err != nil {
 		return nil, err
+	}
+	// Read every cluster clock and its FC/SC indicators at the sampler's
+	// own instants (the same accumulated sums of T/2): the sampler has
+	// already anchored every clock there, so these reads leave the run
+	// untouched.
+	clusters := sys.Clusters()
+	var times []float64
+	clocks := make([][]float64, clusters)
+	fcs, scs := make([][]bool, clusters), make([][]bool, clusters)
+	nbrClocks := make([]float64, 0, 2)
+	for t := p.T / 2; t <= horizon; t += p.T / 2 {
+		if err := sys.RunContext(rc.ctx(), t); err != nil {
+			return nil, err
+		}
+		times = append(times, t)
+		for c := 0; c < clusters; c++ {
+			own := sys.ClusterClock(c)
+			nbrClocks = nbrClocks[:0]
+			for _, b := range base.Neighbors(c) {
+				nbrClocks = append(nbrClocks, sys.ClusterClock(b))
+			}
+			clocks[c] = append(clocks[c], own)
+			fcs[c] = append(fcs[c], gcs.FastCondition(own, nbrClocks, p.Kappa))
+			scs[c] = append(scs[c], gcs.SlowCondition(own, nbrClocks, p.Kappa))
+		}
 	}
 	if err := sys.RunContext(rc.ctx(), horizon); err != nil {
 		return nil, err
@@ -122,36 +145,31 @@ func runE10(rc RunConfig) (*Table, error) {
 	a1N := 0
 	scMax, scN := math.Inf(-1), 0
 	fcMin, fcN := math.Inf(1), 0
-	for c := 0; c < 5; c++ {
-		clock := sys.Series(core.ClusterSeriesClock(c))
-		fc := sys.Series(core.ClusterSeriesFC(c))
-		sc := sys.Series(core.ClusterSeriesSC(c))
-		if clock == nil || fc == nil || sc == nil {
-			continue
-		}
-		// Find, for each sample i, the sample j with Times[j] ≈ Times[i]+window.
+	for c := 0; c < clusters; c++ {
+		clock, fc, sc := clocks[c], fcs[c], scs[c]
+		// Find, for each sample i, the sample j with times[j] ≈ times[i]+window.
 		j := 0
-		for i := 0; i < clock.Len(); i++ {
-			target := clock.Times[i] + window
-			for j < clock.Len() && clock.Times[j] < target {
+		for i := 0; i < len(times); i++ {
+			target := times[i] + window
+			for j < len(times) && times[j] < target {
 				j++
 			}
-			if j >= clock.Len() {
+			if j >= len(times) {
 				break
 			}
-			dt := clock.Times[j] - clock.Times[i]
-			rate := (clock.Values[j] - clock.Values[i]) / dt
-			if clock.Times[i] < skipUntil {
+			dt := times[j] - times[i]
+			rate := (clock[j] - clock[i]) / dt
+			if times[i] < skipUntil {
 				continue // forced phase + margin
 			}
 			a1Lo, a1Hi = math.Min(a1Lo, rate), math.Max(a1Hi, rate)
 			a1N++
 			allFC, allSC := true, true
 			for m := i; m <= j; m++ {
-				if fc.Values[m] < 0.5 {
+				if !fc[m] {
 					allFC = false
 				}
-				if sc.Values[m] < 0.5 {
+				if !sc[m] {
 					allSC = false
 				}
 			}

@@ -90,6 +90,37 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
+// TestCanceledReplicatedJobCompletesNoReplicates: Sweep reports the
+// interrupted replicate and every undispatched one to OnScenarioDone, with
+// the context error. None of them completed, so a replicated job canceled
+// during its first replicate must leave the completed-replicates counter
+// at zero.
+func TestCanceledReplicatedJobCompletesNoReplicates(t *testing.T) {
+	m := NewManager(Options{Workers: 1, SweepWorkers: 1})
+	defer m.Close()
+
+	req := longSpec(43)
+	req.Replicate = 8
+	st, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, m, st.ID)
+	final, err := m.Cancel(st.ID)
+	if err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	if final.State != StateCanceled {
+		t.Fatalf("state after Cancel = %v, want canceled: %+v", final.State, final)
+	}
+	if runs := m.met.runs.Value(); runs != 1 {
+		t.Fatalf("runs = %d, want 1", runs)
+	}
+	if n := m.met.replicates.Value(); n != 0 {
+		t.Fatalf("replicates completed = %d for a job canceled during replicate 1, want 0", n)
+	}
+}
+
 // TestCancelQueuedJob: a job canceled before any worker picks it up is
 // finished on the spot and never runs.
 func TestCancelQueuedJob(t *testing.T) {

@@ -35,7 +35,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestStoreDegradesToMemoryOnPersistentFailure is the degradation
 // ladder's first rung: a disk that fails every write trips the breaker
 // after the configured number of failed items, the manager reports
-// Degraded, and — the actual point — jobs keep completing and serving
+// StoreDegraded, and — the actual point — jobs keep completing and serving
 // from the memory tier the whole time.
 func TestStoreDegradesToMemoryOnPersistentFailure(t *testing.T) {
 	store, ffs := openFaultStore(t, t.TempDir())
@@ -56,7 +56,7 @@ func TestStoreDegradesToMemoryOnPersistentFailure(t *testing.T) {
 			t.Fatalf("job under store failure ended %s, want done", got.State)
 		}
 	}
-	waitFor(t, "breaker to open", m.Degraded)
+	waitFor(t, "breaker to open", m.degraded.Load)
 
 	s := m.Stats()
 	if !s.StoreDegraded || s.StoreErrors == 0 {
@@ -103,7 +103,7 @@ func TestStoreBreakerRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, m, st.ID)
-	waitFor(t, "breaker to open", m.Degraded)
+	waitFor(t, "breaker to open", m.degraded.Load)
 
 	ffs.Heal()
 	time.Sleep(20 * time.Millisecond) // let the cooldown elapse
@@ -113,7 +113,7 @@ func TestStoreBreakerRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, m, st2.ID)
-	waitFor(t, "breaker to close after a successful probe", func() bool { return !m.Degraded() })
+	waitFor(t, "breaker to close after a successful probe", func() bool { return !m.degraded.Load() })
 	waitFor(t, "probe result to be durable", func() bool { return m.Stats().DiskStored >= 1 })
 	if _, ok := store.Get(st2.ID); !ok {
 		t.Fatal("probe result not on disk after recovery")
@@ -142,7 +142,7 @@ func TestStorerSurvivesPanic(t *testing.T) {
 	}
 	waitDone(t, m, st.ID)
 	waitFor(t, "recovered panic to be counted", func() bool { return m.Stats().StoreErrors >= 1 })
-	if m.Degraded() {
+	if m.degraded.Load() {
 		t.Fatal("one panicking item below the threshold must not trip the breaker")
 	}
 

@@ -123,16 +123,11 @@ type Options struct {
 	StoreRetryBackoff time.Duration
 	// StoreFailureThreshold is how many consecutive results must fail all
 	// their attempts before the breaker opens and the manager degrades to
-	// memory-only operation (≤0: 3). See Manager.Degraded.
+	// memory-only operation (≤0: 3). See Stats.StoreDegraded.
 	StoreFailureThreshold int
 	// StoreCooldown is how long an open breaker waits before probing the
 	// store with one write again (≤0: 5s).
 	StoreCooldown time.Duration
-	// Telemetry is the registry the manager registers its instruments on
-	// (queue-wait/run-duration histograms, cache and lifecycle counters,
-	// occupancy gauges); nil creates a private one. Metric names are
-	// fixed, so at most one Manager may share a registry.
-	Telemetry *telemetry.Registry
 }
 
 // ErrQueueFull is returned by Submit when the bounded queue is at
@@ -238,7 +233,7 @@ type Manager struct {
 	// Store breaker configuration (fixed at NewManager) and state.
 	// degraded is the breaker: true means the disk tier is considered down
 	// and the manager serves memory-only until a cooldown probe succeeds.
-	// It is read by Stats/Degraded/healthz concurrently; the remaining
+	// It is read by Stats and healthz concurrently; the remaining
 	// breaker state (storeFails, storeDownSince) belongs to the storer
 	// goroutine alone.
 	storeRetries   int
@@ -271,9 +266,6 @@ func NewManager(o Options) *Manager {
 	if o.SweepWorkers <= 0 {
 		o.SweepWorkers = runtime.GOMAXPROCS(0)
 	}
-	if o.Telemetry == nil {
-		o.Telemetry = telemetry.NewRegistry()
-	}
 	if o.StoreRetries <= 0 {
 		o.StoreRetries = 3
 	}
@@ -289,6 +281,7 @@ func NewManager(o Options) *Manager {
 	if o.PoolSize <= 0 {
 		o.PoolSize = 8
 	}
+	tel := telemetry.NewRegistry()
 	m := &Manager{
 		reg:             o.Registry,
 		sweepWorkers:    o.SweepWorkers,
@@ -304,8 +297,8 @@ func NewManager(o Options) *Manager {
 		storeThreshold:  o.StoreFailureThreshold,
 		storeCooldown:   o.StoreCooldown,
 		storerInterrupt: make(chan struct{}),
-		tel:             o.Telemetry,
-		met:             newManagerMetrics(o.Telemetry),
+		tel:             tel,
+		met:             newManagerMetrics(tel),
 	}
 	if !o.NoReuse {
 		m.pool = ftgcs.NewSystemPool(o.PoolSize)

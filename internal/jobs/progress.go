@@ -65,7 +65,10 @@ func (p *progressTracker) startRun(index int, src progressSource, horizon float6
 }
 
 // done freezes a finished run's contribution (Sweep.OnScenarioDone).
-func (p *progressTracker) done(index int, _ ftgcs.SweepResult) {
+// Sweep also reports interrupted and undispatched scenarios, with Err
+// set; those keep the events they executed but are not completed
+// replicates, so they neither count nor fire onDone.
+func (p *progressTracker) done(index int, res ftgcs.SweepResult) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if tr, ok := p.inFlight[index]; ok {
@@ -73,6 +76,9 @@ func (p *progressTracker) done(index int, _ ftgcs.SweepResult) {
 		sp := tr.src.Progress()
 		p.doneEvents += sp.Events
 		p.doneFraction += runFraction(sp.Now, tr.horizon)
+	}
+	if res.Err != nil {
+		return
 	}
 	p.doneRuns++
 	if p.onDone != nil {

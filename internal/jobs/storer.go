@@ -29,7 +29,7 @@ type storeItem struct {
 // encode/Put path is recovered and counted as a failed attempt — one bad
 // object can never kill the goroutine and silently end disk persistence
 // for every job after it. When storeFailureThreshold consecutive items
-// fail every attempt, a breaker opens (Degraded reports true, healthz
+// fail every attempt, a breaker opens (Stats().StoreDegraded is true, healthz
 // shows "degraded", ftgcs_store_degraded is 1) and the manager runs
 // memory-only: results stay served from the LRU, nothing blocks, items
 // are dropped from the write-behind queue instead of piling up. After
@@ -153,13 +153,6 @@ func (m *Manager) storerInterrupted() bool {
 		return false
 	}
 }
-
-// Degraded reports whether the disk-store breaker is open: persistent
-// store failures have switched the manager to memory-only operation.
-// Jobs keep completing and results keep being served from the LRU;
-// durability resumes (and Degraded clears) once a cooldown probe write
-// succeeds. Always false without a store.
-func (m *Manager) Degraded() bool { return m.degraded.Load() }
 
 // flushStore tells the storer to drain everything still pending and
 // waits for it: after Close returns, every result that completed before

@@ -271,7 +271,9 @@ type Stats struct {
 	// of each item counts; recovered panics count too).
 	StoreErrors uint64 `json:"storeErrors"`
 	// StoreDegraded is true while the disk-store breaker is open and the
-	// manager is running memory-only. See Manager.Degraded.
+	// manager is running memory-only: results are still served from the
+	// LRU, and durability resumes once a cooldown probe write succeeds.
+	// Always false without a store.
 	StoreDegraded bool `json:"storeDegraded"`
 	Queued        int  `json:"queued"`
 	Running       int  `json:"running"`

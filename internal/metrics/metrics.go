@@ -1,14 +1,12 @@
 // Package metrics records time series produced by simulation runs and
 // provides the statistics the experiment harness reports: maxima, means,
-// quantiles, and the regression fits used to check the paper's scaling
-// claims (logarithmic local skew in D, geometric convergence of the
-// intra-cluster error, linear scaling in ρd+U).
+// and the regression fits used to check the paper's scaling claims
+// (logarithmic local skew in D, linear scaling in ρd+U).
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Series is an append-only time series.
@@ -67,39 +65,6 @@ func (s *Series) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.Values))
-}
-
-// Final returns the last value (NaN when empty).
-func (s *Series) Final() float64 {
-	if len(s.Values) == 0 {
-		return math.NaN()
-	}
-	return s.Values[len(s.Values)-1]
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation over
-// the sorted values; NaN when empty.
-func (s *Series) Quantile(q float64) float64 {
-	n := len(s.Values)
-	if n == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, n)
-	copy(sorted, s.Values)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // MaxAfter returns the maximum over samples with t ≥ start; −Inf when none.
@@ -261,20 +226,6 @@ func FitLogarithm(xs, ys []float64) (a, b, r2 float64, err error) {
 		lx[i] = math.Log2(x)
 	}
 	return FitLinear(lx, ys)
-}
-
-// FitGeometricDecay estimates the contraction factor α of a sequence
-// e(r+1) ≈ α·e(r) + β by least squares on consecutive pairs. It returns
-// α̂ and β̂. Used in E3 to compare the measured pulse-diameter convergence
-// against the paper's Eq. (9)/(12).
-func FitGeometricDecay(seq []float64) (alpha, beta float64, err error) {
-	if len(seq) < 3 {
-		return 0, 0, fmt.Errorf("metrics: need ≥ 3 values, have %d", len(seq))
-	}
-	xs := seq[:len(seq)-1]
-	ys := seq[1:]
-	alpha, beta, _, err = FitLinear(xs, ys)
-	return alpha, beta, err
 }
 
 // GrowthExponent fits y = c·x^p (power law) via log-log regression and

@@ -20,9 +20,6 @@ func TestSeriesStats(t *testing.T) {
 	if got := s.Mean(); math.Abs(got-2.8) > 1e-12 {
 		t.Errorf("Mean = %v, want 2.8", got)
 	}
-	if s.Final() != 5 {
-		t.Errorf("Final = %v", s.Final())
-	}
 }
 
 func TestEmptySeries(t *testing.T) {
@@ -30,23 +27,8 @@ func TestEmptySeries(t *testing.T) {
 	if !math.IsInf(s.Max(), -1) || !math.IsInf(s.Min(), 1) {
 		t.Error("empty Max/Min should be ∓Inf")
 	}
-	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Final()) || !math.IsNaN(s.Quantile(0.5)) {
-		t.Error("empty Mean/Final/Quantile should be NaN")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	var s Series
-	for i := 1; i <= 100; i++ {
-		s.Append(float64(i), float64(i))
-	}
-	tests := []struct{ q, want float64 }{
-		{0, 1}, {1, 100}, {0.5, 50.5}, {0.25, 25.75}, {0.99, 99.01},
-	}
-	for _, tc := range tests {
-		if got := s.Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
+	if !math.IsNaN(s.Mean()) {
+		t.Error("empty Mean should be NaN")
 	}
 }
 
@@ -126,24 +108,6 @@ func TestFitLogarithm(t *testing.T) {
 	}
 	if _, _, _, err := FitLogarithm([]float64{0, 1}, []float64{1, 2}); err == nil {
 		t.Error("x=0 should fail")
-	}
-}
-
-func TestFitGeometricDecay(t *testing.T) {
-	// e(r+1) = 0.7·e(r) + 0.3 from e=10.
-	seq := []float64{10}
-	for i := 0; i < 20; i++ {
-		seq = append(seq, 0.7*seq[len(seq)-1]+0.3)
-	}
-	alpha, beta, err := FitGeometricDecay(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(alpha-0.7) > 1e-9 || math.Abs(beta-0.3) > 1e-9 {
-		t.Errorf("fit = (%v, %v), want (0.7, 0.3)", alpha, beta)
-	}
-	if _, _, err := FitGeometricDecay([]float64{1, 2}); err == nil {
-		t.Error("too-short sequence should fail")
 	}
 }
 

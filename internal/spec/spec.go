@@ -140,11 +140,11 @@ type Horizon struct {
 	Rounds  float64 `json:"rounds,omitempty"`
 }
 
-// Track enables optional instrumentation.
+// Track is accepted and ignored. It stays in the schema because every
+// canonical encoding contains it, so dropping it would move every job ID;
+// it goes in the next deliberate re-record.
 type Track struct {
-	// Rounds records per-node round boundaries, values and modes.
-	Rounds bool `json:"rounds,omitempty"`
-	// Clusters records per-cluster clock/FC/SC series.
+	Rounds   bool `json:"rounds,omitempty"`
 	Clusters bool `json:"clusters,omitempty"`
 }
 
@@ -396,12 +396,6 @@ func (s ScenarioSpec) Compile(reg *ftgcs.Registry) (*ftgcs.Scenario, error) {
 		opts = append(opts, ftgcs.WithHorizonRounds(n.Horizon.Rounds))
 	} else {
 		opts = append(opts, ftgcs.WithHorizon(n.Horizon.Seconds))
-	}
-	if n.Track.Rounds {
-		opts = append(opts, ftgcs.WithRoundTracking())
-	}
-	if n.Track.Clusters {
-		opts = append(opts, ftgcs.WithClusterTracking())
 	}
 	sc := ftgcs.NewScenario(opts...)
 	if err := sc.Validate(); err != nil {

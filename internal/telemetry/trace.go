@@ -57,16 +57,6 @@ func (t *Trace) Phase(name string) {
 	t.spans = append(t.spans, traceSpan{name: name, start: now, open: true})
 }
 
-// Mark appends a closed zero-duration marker without touching the open
-// phase — terminal states (done/failed/canceled) are instants, not
-// intervals.
-func (t *Trace) Mark(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	t.spans = append(t.spans, traceSpan{name: name, start: now, end: now})
-}
-
 // Finish closes the open chained phase and appends the terminal marker.
 func (t *Trace) Finish(terminal string) {
 	t.mu.Lock()

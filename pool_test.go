@@ -49,7 +49,6 @@ var scenarioFields = map[string]string{
 	"horizonRounds":     fieldKey,
 	"staggerStart":      fieldKey,
 	"trackRounds":       fieldKey,
-	"trackClusters":     fieldKey,
 	"modeOverride":      fieldDisqualifier,
 	"observe":           fieldNonKey,
 	"hooks":             fieldDisqualifier,
@@ -175,7 +174,6 @@ func TestScenarioBuildKey(t *testing.T) {
 		{"horizon-rounds", []string{"horizonRounds"}, base(WithHorizonRounds(10)), base(WithHorizonRounds(20)), fieldKey},
 		{"stagger", []string{"staggerStart"}, base(WithStaggerStart(0.01)), nil, fieldKey},
 		{"track-rounds", []string{"trackRounds"}, base(WithRoundTracking()), nil, fieldKey},
-		{"track-clusters", []string{"trackClusters"}, base(WithClusterTracking()), nil, fieldKey},
 
 		{"topology-name", []string{"topoName", "topoSize"}, base(WithTopologyName("line", 3)), nil, fieldDisqualifier},
 		{"mode-override", []string{"modeOverride"}, base(WithModeOverride(func(NodeID, ClusterID, int) (int, bool) { return 0, false })), nil, fieldDisqualifier},

@@ -51,7 +51,6 @@ func resetMatrix() map[string]*Scenario {
 			WithClusters(4, 1),
 			WithDriftName("sine"),
 			WithRoundTracking(),
-			WithClusterTracking(),
 			WithStaggerStart(0.002),
 			WithHorizon(2),
 		),

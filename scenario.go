@@ -79,9 +79,8 @@ type buildScalars struct {
 	horizonRounds float64
 
 	// Advanced instrumentation (harness experiments).
-	staggerStart  float64
-	trackRounds   bool
-	trackClusters bool
+	staggerStart float64
+	trackRounds  bool
 }
 
 type midRunHook struct {
@@ -284,11 +283,6 @@ func WithRoundTracking() Option {
 	return func(s *Scenario) { s.trackRounds = true }
 }
 
-// WithClusterTracking records per-cluster clock/FC/SC series.
-func WithClusterTracking() Option {
-	return func(s *Scenario) { s.trackClusters = true }
-}
-
 // WithModeOverride forces GCS mode decisions (experiment machinery).
 func WithModeOverride(fn func(node NodeID, cluster ClusterID, round int) (int, bool)) Option {
 	return func(s *Scenario) { s.modeOverride = fn }
@@ -394,7 +388,6 @@ func (s *Scenario) config() (core.Config, error) {
 		HorizonHint:      s.Horizon(p),
 		StaggerStart:     s.staggerStart,
 		TrackRounds:      s.trackRounds,
-		TrackClusters:    s.trackClusters,
 		ModeOverride:     s.modeOverride,
 	}, nil
 }
