@@ -79,6 +79,9 @@ func run(ctx context.Context, args []string) error {
 		return nil
 	}
 	if *specPath != "" {
+		if *seeds > 1 {
+			return errors.New("-spec runs the one seed its file names; drop -seeds")
+		}
 		return runSpecFile(ctx, *specPath, *csvPath, *jsonPath)
 	}
 	if *seeds > 1 && (*csvPath != "" || *jsonPath != "") {

@@ -96,6 +96,11 @@ func TestRunSpecErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-spec", filepath.Join(dir, "missing.json")}); err == nil {
 		t.Error("missing spec file should error")
 	}
+	// A spec names its own seed; a sweep over it must be refused before
+	// anything runs, not silently cut to one seed.
+	if err := run(context.Background(), []string{"-spec", "../../examples/specs/line-quickstart.json", "-seeds", "3"}); err == nil || !strings.Contains(err.Error(), "-seeds") {
+		t.Errorf("-spec with -seeds 3: want a -seeds error, got %v", err)
+	}
 	typo := filepath.Join(dir, "typo.json")
 	if err := os.WriteFile(typo, []byte(`{"topology": {"name": "line", "size": 3}, "sede": 1}`), 0o644); err != nil {
 		t.Fatal(err)

@@ -53,13 +53,33 @@ func MidpointInPlace(values []float64, f int) (float64, error) {
 			return 0, errors.New("approxagree: NaN value")
 		}
 	}
-	slices.Sort(values)
+	sortNoNaN(values)
 	lo := values[f]     // S^{f+1}, 1-based
 	hi := values[k-f-1] // S^{k−f}, 1-based
 	if math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 		return 0, ErrTooManyMissing
 	}
 	return (lo + hi) / 2, nil
+}
+
+// insertionMax is the largest input sortNoNaN orders by insertion. It is
+// slices.Sort's own insertion-sort cutoff, so both leave the same
+// arrangement at every size; above it insertion sort's O(k²) loses to
+// slices.Sort's O(k log k).
+const insertionMax = 12
+
+// sortNoNaN sorts values ascending. With NaN excluded, plain < is the
+// total order slices.Sort would use, minus its per-comparison NaN test.
+func sortNoNaN(values []float64) {
+	if len(values) > insertionMax {
+		slices.Sort(values)
+		return
+	}
+	for i := 1; i < len(values); i++ {
+		for j := i; j > 0 && values[j] < values[j-1]; j-- {
+			values[j], values[j-1] = values[j-1], values[j]
+		}
+	}
 }
 
 // CorrectRange returns the interval [min, max] spanned by the values at

@@ -1,6 +1,7 @@
 package approxagree
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -225,5 +226,59 @@ func BenchmarkMidpoint(b *testing.B) {
 		if _, err := Midpoint(values, 3); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestMidpointInPlaceAcrossSortCutoff checks MidpointInPlace against the
+// sort-based oracle CorrectRange on both sides of the insertion-sort
+// cutoff, with ties and up to f missing (+Inf) values, and checks that the
+// slice is left in ascending order.
+func TestMidpointInPlaceAcrossSortCutoff(t *testing.T) {
+	rng := sim.NewRNG(5, 0)
+	for _, k := range []int{4, 7, 8, insertionMax + 1, 100} {
+		f := (k - 1) / 3
+		for trial := 0; trial < 200; trial++ {
+			values := make([]float64, k)
+			for i := range values {
+				values[i] = float64(rng.Intn(k/2+1)) - float64(k/4) // ties are common
+			}
+			for m := rng.Intn(f + 1); m > 0; m-- {
+				values[rng.Intn(k)] = math.Inf(1)
+			}
+			lo, hi, err := CorrectRange(values, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MidpointInPlace(values, f)
+			if err != nil || got != (lo+hi)/2 {
+				t.Fatalf("k=%d trial %d: got %v (%v), want %v", k, trial, got, err, (lo+hi)/2)
+			}
+			if !sort.Float64sAreSorted(values) {
+				t.Fatalf("k=%d trial %d: values left unsorted: %v", k, trial, values)
+			}
+		}
+	}
+}
+
+// BenchmarkMidpointInPlace times one round's correction at a typical
+// cluster size (k=8, below the insertion-sort cutoff) and a large one
+// (k=100, above it), the copy into the scratch buffer included.
+func BenchmarkMidpointInPlace(b *testing.B) {
+	for _, k := range []int{8, 100} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			rng := sim.NewRNG(1, 0)
+			in := make([]float64, k)
+			for i := range in {
+				in[i] = rng.UniformIn(-1, 1)
+			}
+			buf := make([]float64, k)
+			f := (k - 1) / 3
+			for b.Loop() {
+				copy(buf, in)
+				if _, err := MidpointInPlace(buf, f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -189,7 +189,7 @@ func (s *System) buildRootMember(v graph.NodeID, hw *clockwork.HardwareClock) er
 		},
 		Loopback: func(t float64) {
 			if err := s.net.LoopbackFunc(t, v, func(at float64) {
-				s.rootInsts[v].HandlePulse(at, v)
+				s.rootInsts[v].HandlePulse(at, s.aug.IndexIn(v))
 			}); err != nil {
 				panic(err)
 			}
@@ -205,7 +205,7 @@ func (s *System) buildRootMember(v graph.NodeID, hw *clockwork.HardwareClock) er
 			return
 		}
 		if s.aug.ClusterOf(pu.From) == s.cfg.Root {
-			inst.HandlePulse(at, pu.From)
+			inst.HandlePulse(at, s.aug.IndexIn(pu.From))
 		}
 	})
 	return nil

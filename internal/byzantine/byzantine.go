@@ -100,6 +100,24 @@ func (s Spam) Install(ctx Ctx) (transport.Handler, error) {
 	return nil, err
 }
 
+// sendOneEvent sends one clock pulse from the strategy's node (Data.Ctx, a
+// *Ctx) to neighbor Data.I0. As top-level DataFuncs, it and sendAllEvent
+// let a strategy schedule its per-round sends without allocating.
+func sendOneEvent(e *sim.Engine, d sim.Data) {
+	c := d.Ctx.(*Ctx)
+	_ = c.Net.SendTo(e.Now(), c.Self, graph.NodeID(d.I0), transport.PulseClock)
+}
+
+// sendAllEvent sends one clock pulse from the strategy's node (Data.Ctx, a
+// *Ctx) to every neighbor, in neighbor order. Errors cannot occur for
+// listed neighbors; an adversary ignores them anyway.
+func sendAllEvent(e *sim.Engine, d sim.Data) {
+	c := d.Ctx.(*Ctx)
+	for _, to := range c.Neighbors {
+		_ = c.Net.SendTo(e.Now(), c.Self, to, transport.PulseClock)
+	}
+}
+
 // TwoFaced follows the nominal round schedule but sends its round pulse
 // Offset seconds early to neighbors with even node ID and Offset late to
 // the others (equivocation; faulty nodes need not broadcast).
@@ -119,6 +137,7 @@ func (s TwoFaced) Install(ctx Ctx) (transport.Handler, error) {
 		off = ctx.Params.EG
 	}
 	p := ctx.Params
+	c := &ctx
 	round := 0
 	var schedule func(*sim.Engine)
 	schedule = func(e *sim.Engine) {
@@ -126,14 +145,11 @@ func (s TwoFaced) Install(ctx Ctx) (transport.Handler, error) {
 		early := math.Max(e.Now(), nominal-off)
 		late := nominal + off
 		for _, to := range ctx.Neighbors {
-			to := to
 			at := late
 			if to%2 == 0 {
 				at = early
 			}
-			e.MustSchedule(at, "byz-twofaced", func(e2 *sim.Engine) {
-				_ = ctx.Net.SendTo(e2.Now(), ctx.Self, to, transport.PulseClock)
-			})
+			e.MustScheduleData(at, "byz-twofaced", sendOneEvent, sim.Data{Ctx: c, I0: int32(to)})
 		}
 		round++
 		e.MustSchedule(float64(round)*p.T, "byz-twofaced-round", schedule)
@@ -166,6 +182,7 @@ func (s Oscillate) Install(ctx Ctx) (transport.Handler, error) {
 		period = 1
 	}
 	p := ctx.Params
+	c := &ctx
 	round := 0
 	var schedule func(*sim.Engine)
 	schedule = func(e *sim.Engine) {
@@ -174,11 +191,7 @@ func (s Oscillate) Install(ctx Ctx) (transport.Handler, error) {
 			sign = -1.0
 		}
 		at := math.Max(e.Now(), float64(round)*p.T+p.Tau1+sign*amp)
-		e.MustSchedule(at, "byz-osc-pulse", func(e2 *sim.Engine) {
-			for _, to := range ctx.Neighbors {
-				_ = ctx.Net.SendTo(e2.Now(), ctx.Self, to, transport.PulseClock)
-			}
-		})
+		e.MustScheduleData(at, "byz-osc-pulse", sendAllEvent, sim.Data{Ctx: c})
 		round++
 		e.MustSchedule(float64(round)*p.T, "byz-osc-round", schedule)
 	}
@@ -216,15 +229,12 @@ func (l Lie) Install(ctx Ctx) (transport.Handler, error) {
 		off = -off
 	}
 	p := ctx.Params
+	c := &ctx
 	round := 0
 	var schedule func(*sim.Engine)
 	schedule = func(e *sim.Engine) {
 		at := math.Max(e.Now(), float64(round)*p.T+p.Tau1+off)
-		e.MustSchedule(at, "byz-lie-pulse", func(e2 *sim.Engine) {
-			for _, to := range ctx.Neighbors {
-				_ = ctx.Net.SendTo(e2.Now(), ctx.Self, to, transport.PulseClock)
-			}
-		})
+		e.MustScheduleData(at, "byz-lie-pulse", sendAllEvent, sim.Data{Ctx: c})
 		round++
 		e.MustSchedule(float64(round)*p.T, "byz-lie-round", schedule)
 	}

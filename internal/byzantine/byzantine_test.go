@@ -252,3 +252,38 @@ func TestStrategiesInstallDeterministically(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundSendsAllocFree: once installed, the schedule-anchored attackers
+// send their round pulses without allocating — the per-neighbor (TwoFaced)
+// or per-round (Oscillate, Lie) sends ride as pooled event data, not as
+// closures. The benchmark's two-faced attacker allocated one closure per
+// neighbor per round before. Under -race the rounds still run, unchecked.
+func TestRoundSendsAllocFree(t *testing.T) {
+	for _, s := range []Strategy{TwoFaced{}, Oscillate{}, Lie{Early: true}} {
+		ctx, received := testCtx(t)
+		for v := 1; v < 5; v++ {
+			ctx.Net.OnPulse(v, func(float64, transport.Pulse) { *received = (*received)[:0] })
+		}
+		if _, err := s.Install(ctx); err != nil {
+			t.Fatal(err)
+		}
+		p := ctx.Params
+		until := 2 * p.T // warm the engine's event pool
+		if err := ctx.Eng.Run(until); err != nil {
+			t.Fatal(err)
+		}
+		sent := ctx.Net.Stats().Sends
+		avg := testing.AllocsPerRun(20, func() {
+			until += p.T
+			if err := ctx.Eng.Run(until); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if ctx.Net.Stats().Sends == sent {
+			t.Fatalf("%s: no pulse sent in the measured rounds", s.Name())
+		}
+		if !sim.RaceEnabled && avg != 0 {
+			t.Errorf("%s: a round of sends allocates %.1f, want 0", s.Name(), avg)
+		}
+	}
+}

@@ -94,15 +94,15 @@ type Stats struct {
 // Instance is one node's ClusterSync state machine (active or observer).
 //
 // Per-round state is held in dense sender-indexed slices (the member set is
-// small and fixed for the lifetime of the instance), with a NodeID→index
-// table built once at construction; the steady-state round loop performs
-// no heap allocations.
+// small and fixed for the lifetime of the instance): sender i < len(Members)
+// is Members[i], and an observer's own virtual pulse is sender
+// len(Members). The caller resolves a pulse's sender to that index once,
+// at wiring time; the steady-state round loop performs no heap
+// allocations.
 type Instance struct {
-	cfg       Config
-	eng       *sim.Engine
-	senders   []graph.NodeID // Members ∪ {Self}
-	senderIdx graph.Index    // NodeID → index into senders
-	selfIdx   int32          // index of Self in senders
+	cfg     Config
+	eng     *sim.Engine
+	selfIdx int // index of Self among the senders
 
 	round       int
 	ph          phase
@@ -144,23 +144,21 @@ func New(eng *sim.Engine, cfg Config) (*Instance, error) {
 	if !cfg.Active && selfIn {
 		return nil, fmt.Errorf("cluster: observer %d must not be in member list", cfg.Self)
 	}
-	senders := make([]graph.NodeID, 0, len(cfg.Members)+1)
-	senders = append(senders, cfg.Members...)
+	n, selfIdx := len(cfg.Members), len(cfg.Members)
 	if !selfIn {
-		senders = append(senders, cfg.Self)
+		n++ // the observer's own virtual pulse
 	}
-	n := len(senders)
 	if n < 3*cfg.F+1 {
 		return nil, fmt.Errorf("cluster: %d senders cannot tolerate f=%d (need ≥ %d)", n, cfg.F, 3*cfg.F+1)
 	}
-	senderIdx := graph.NewIndex(n)
-	selfIdx := int32(-1)
-	for i, s := range senders {
-		if !senderIdx.Put(s, int32(i)) {
-			return nil, fmt.Errorf("cluster: duplicate member %d", s)
+	seen := make(map[graph.NodeID]bool, len(cfg.Members))
+	for i, m := range cfg.Members {
+		if seen[m] {
+			return nil, fmt.Errorf("cluster: duplicate member %d", m)
 		}
-		if s == cfg.Self {
-			selfIdx = int32(i)
+		seen[m] = true
+		if m == cfg.Self {
+			selfIdx = i
 		}
 	}
 	// One backing array for the three dense per-round buffers: systems
@@ -168,14 +166,12 @@ func New(eng *sim.Engine, cfg Config) (*Instance, error) {
 	// allocations per instance measurably cuts SystemBuild.
 	buf := make([]float64, 3*n)
 	in := &Instance{
-		cfg:       cfg,
-		eng:       eng,
-		senders:   senders,
-		senderIdx: senderIdx,
-		selfIdx:   selfIdx,
-		recv:      buf[:n:n],
-		pending:   buf[n : 2*n : 2*n],
-		offsets:   buf[2*n:],
+		cfg:     cfg,
+		eng:     eng,
+		selfIdx: selfIdx,
+		recv:    buf[:n:n],
+		pending: buf[n : 2*n : 2*n],
+		offsets: buf[2*n:],
 	}
 	in.Reset()
 	return in, nil
@@ -268,18 +264,16 @@ func (in *Instance) pulse() {
 	if in.cfg.OnPulse != nil {
 		in.cfg.OnPulse(in.round, t)
 	}
-	p := in.cfg.Params
+	p := &in.cfg.Params
 	if err := in.scheduleAtLogical(in.roundStartL+p.Tau1+p.Tau2, "compute", stepCompute); err != nil {
 		panic(err) // unreachable: target is ahead of the clock by construction
 	}
 }
 
-// HandlePulse records a cluster pulse received at Newtonian time t.
-func (in *Instance) HandlePulse(t float64, from graph.NodeID) {
-	i := in.senderIdx.Get(from)
-	if i < 0 {
-		return
-	}
+// HandlePulse records a cluster pulse from sender i received at Newtonian
+// time t: i < len(Members) is Members[i], and i == len(Members) is an
+// observer's own virtual pulse.
+func (in *Instance) HandlePulse(t float64, i int) {
 	switch in.ph {
 	case phaseWait, phaseCollect:
 		if !math.IsNaN(in.recv[i]) {
@@ -304,7 +298,7 @@ func (in *Instance) HandlePulse(t float64, from graph.NodeID) {
 func (in *Instance) compute() {
 	t := in.eng.Now()
 	in.ph = phaseAdjust
-	p := in.cfg.Params
+	p := &in.cfg.Params
 
 	selfL := in.recv[in.selfIdx]
 	var delta float64
@@ -323,8 +317,7 @@ func (in *Instance) compute() {
 		// are discarded as missing.
 		plausible := p.Tau1 + p.Tau2
 		offsets := in.offsets
-		for i := range in.senders {
-			lw := in.recv[i]
+		for i, lw := range in.recv {
 			if math.IsNaN(lw) {
 				offsets[i] = math.Inf(1)
 				continue

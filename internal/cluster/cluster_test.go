@@ -115,7 +115,7 @@ func newRig(t testing.TB, p params.Params, o rigOpts) *rig {
 		}
 		r.instances[i] = inst
 		net.OnPulse(i, func(at float64, pu transport.Pulse) {
-			inst.HandlePulse(at, pu.From)
+			inst.HandlePulse(at, pu.From) // member w is node w: its ID is its index
 		})
 	}
 	if o.observer {
@@ -138,7 +138,7 @@ func newRig(t testing.TB, p params.Params, o rigOpts) *rig {
 		}
 		r.observer = inst
 		net.OnPulse(obs, func(at float64, pu transport.Pulse) {
-			inst.HandlePulse(at, pu.From)
+			inst.HandlePulse(at, pu.From) // member w is node w: its ID is its index
 		})
 	}
 	return r
@@ -409,6 +409,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(eng, c); err == nil {
 		t.Error("k=3 < 3f+1 accepted")
 	}
+	c = base
+	c.Members = []graph.NodeID{0, 1, 2, 2, 3}
+	if _, err := New(eng, c); err == nil {
+		t.Error("duplicate member accepted")
+	}
 }
 
 func TestCorrectionsStayWithinProperBound(t *testing.T) {
@@ -476,5 +481,36 @@ func BenchmarkClusterRound(b *testing.B) {
 		if err := r.eng.Run(float64(i+1) * p.T); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRoundLoopAllocFree: in steady state a cluster's rounds — the pulse,
+// the deliveries HandlePulse records by sender index, the correction and
+// the round end — allocate nothing, for members and an observer alike.
+// Under -race the rounds still run, unchecked.
+func TestRoundLoopAllocFree(t *testing.T) {
+	p := testParams(t)
+	r := newRig(t, p, rigOpts{k: 4, f: 1, seed: 3, observer: true})
+	for _, inst := range append(r.instances, r.observer) {
+		if inst != nil {
+			inst.cfg.OnPulse = nil // the rig's pulse log grows a map per round
+		}
+	}
+	r.start(t)
+	until := 3 * p.T // warm the engine's event pool
+	if err := r.eng.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		until += p.T
+		if err := r.eng.Run(until); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := r.observer.Stats(); st.Rounds < 20 || st.MissingSelf != 0 {
+		t.Fatalf("observer stats %+v: want ≥ 20 rounds, each with its own pulse", st)
+	}
+	if !sim.RaceEnabled && avg != 0 {
+		t.Errorf("a round allocates %.1f, want 0", avg)
 	}
 }

@@ -29,7 +29,8 @@ type node struct {
 	// observers/obsClocks are parallel to obsOrder (deterministic
 	// iteration order). Lookups by cluster scan obsOrder — a node
 	// observes only its base-graph neighbors, so the scan is a handful of
-	// comparisons and the state stays O(degree) per node.
+	// comparisons and the state stays O(degree) per node. Pulse delivery
+	// never scans: it goes through the port table route closes over.
 	observers  []*cluster.Instance // estimates of neighbor clusters
 	obsClocks  []*clockwork.LogicalClock
 	obsOrder   []graph.ClusterID
@@ -196,7 +197,8 @@ func (s *System) wireNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) err
 	// Main ClusterSync instance. The loopback delivery closure is created
 	// once here (not per call) so LoopbackFunc can carry it as pooled
 	// event data without allocating.
-	mainDeliver := func(at float64) { n.inst.HandlePulse(at, v) }
+	k, self := cfg.K, s.aug.IndexIn(v)
+	mainDeliver := func(at float64) { n.inst.HandlePulse(at, self) }
 	inst, err := cluster.New(s.eng, cluster.Config{
 		Params:  p,
 		F:       cfg.F,
@@ -233,7 +235,7 @@ func (s *System) wireNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) err
 	for _, b := range s.aug.NeighborClusters(c) {
 		idx := len(n.obsOrder)
 		obsClock := clockwork.NewLogicalClock(n.hw, p.Phi, p.Mu)
-		obsDeliver := func(at float64) { n.observers[idx].HandlePulse(at, v) }
+		obsDeliver := func(at float64) { n.observers[idx].HandlePulse(at, k) }
 		// Observers track with γ̃ = 0 permanently; the Lynch–Welch error
 		// bound E covers the full nominal envelope (Corollary 3.5).
 		obs, err := cluster.New(s.eng, cluster.Config{
@@ -288,23 +290,40 @@ func (s *System) wireNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) err
 		n.maxEst = est
 	}
 
-	// Pulse routing; Reset registers it with the network.
-	n.route = func(at float64, pu transport.Pulse) {
-		switch pu.Kind {
-		case transport.PulseMax:
-			if n.maxEst != nil {
-				n.maxEst.HandleMaxPulse(at, pu.From)
-			}
-		default:
-			from := s.aug.ClusterOf(pu.From)
-			if from == c {
-				n.inst.HandlePulse(at, pu.From)
-			} else if i := n.obsIdx(from); i >= 0 {
-				n.observers[i].HandlePulse(at, pu.From)
-			}
+	// Pulse routing; Reset registers it with the network. Instance slot 0
+	// is the node's own cluster and slot 1+i observes obsOrder[i]; the
+	// estimator's groups follow the same order, K members each. Every
+	// neighbor's port is resolved here, once, to its slot and its index
+	// among that cluster's members.
+	insts := append(make([]*cluster.Instance, 0, 1+len(n.observers)), n.inst)
+	insts = append(insts, n.observers...)
+	nbrs := s.aug.Net.Neighbors(v)
+	ports := make([]port, len(nbrs))
+	for j, u := range nbrs {
+		slot := 0
+		if b := s.aug.ClusterOf(u); b != c {
+			slot = 1 + n.obsIdx(b)
 		}
+		ports[j] = port{slot: int32(slot), member: int32(s.aug.IndexIn(u))}
+	}
+	n.route = func(at float64, pu transport.Pulse) {
+		pt := ports[pu.Port]
+		if pu.Kind == transport.PulseMax {
+			if n.maxEst != nil {
+				n.maxEst.HandleMaxPulse(at, int(pt.slot)*k+int(pt.member))
+			}
+			return
+		}
+		insts[pt.slot].HandlePulse(at, int(pt.member))
 	}
 	return nil
+}
+
+// port is what a pulse arriving on one of a node's ports is for: the
+// instance slot handling it and the sender's index among its cluster's
+// members.
+type port struct {
+	slot, member int32
 }
 
 // recordPulse updates per-cluster pulse diameter bookkeeping (correct
@@ -335,8 +354,8 @@ func (s *System) recordPulse(c graph.ClusterID, v graph.NodeID, r int, t float64
 
 // decideMode runs the InterclusterSync decision for node n at round start.
 func (s *System) decideMode(n *node, r int, t float64) {
-	cfg := s.cfg
-	p := cfg.Params
+	cfg := &s.cfg
+	p := &cfg.Params
 
 	mode := gcs.Slow
 	if cfg.ModeOverride != nil {

@@ -40,7 +40,8 @@ type Config struct {
 	F int
 	// Groups lists the member node IDs of each adjacent cluster (including
 	// the node's own); a sender belongs to exactly one. Level confirmation
-	// requires f+1 distinct senders within one group.
+	// requires f+1 distinct senders within one group. HandleMaxPulse names
+	// a sender by its index in the groups' concatenation.
 	Groups [][]graph.NodeID
 	// HW is the node's hardware clock.
 	HW *clockwork.HardwareClock
@@ -60,8 +61,7 @@ type Estimator struct {
 	levelTimer sim.Handle
 
 	// Reception state is dense, O(members) per estimator: senders is laid
-	// out group by group, and index maps a NodeID to its sender.
-	index   graph.Index
+	// out group by group, in the order of Config.Groups.
 	senders []sender
 	groups  []group
 
@@ -91,7 +91,7 @@ type Stats struct {
 	AdoptedLevels uint64 // levels adopted from neighbors
 	PulsesSent    uint64
 	PulsesHeard   uint64
-	Ignored       uint64 // pulses from unknown senders
+	Ignored       uint64 // pulses with a negative sender index
 }
 
 // New validates and constructs an estimator (not yet started).
@@ -112,16 +112,17 @@ func New(eng *sim.Engine, cfg Config) (*Estimator, error) {
 	e := &Estimator{
 		cfg:     cfg,
 		eng:     eng,
-		index:   graph.NewIndex(n),
 		senders: make([]sender, 0, n),
 		groups:  make([]group, 0, len(cfg.Groups)),
 	}
+	seen := make(map[graph.NodeID]bool, n)
 	for gi, members := range cfg.Groups {
 		lo := len(e.senders)
 		for _, m := range members {
-			if !e.index.Put(m, int32(len(e.senders))) {
+			if seen[m] {
 				return nil, fmt.Errorf("globalskew: sender %d listed twice", m)
 			}
+			seen[m] = true
 			e.senders = append(e.senders, sender{group: gi})
 		}
 		e.groups = append(e.groups, group{lo: lo, hi: len(e.senders)})
@@ -219,9 +220,9 @@ func (e *Estimator) RaiseTo(t, ownLogical float64) {
 	}
 }
 
-// HandleMaxPulse processes a received max pulse.
-func (e *Estimator) HandleMaxPulse(t float64, from graph.NodeID) {
-	i := e.index.Get(from)
+// HandleMaxPulse processes a max pulse from sender i, the sender's index
+// in the concatenation of Config.Groups, received at time t.
+func (e *Estimator) HandleMaxPulse(t float64, i int) {
 	if i < 0 {
 		e.stats.Ignored++
 		return

@@ -90,7 +90,7 @@ func TestAdoptionNeedsFPlusOne(t *testing.T) {
 	// One (possibly Byzantine) sender claims level 5: must NOT be adopted.
 	eng.MustSchedule(0.01, "byz", func(*sim.Engine) {
 		for i := 0; i < 5; i++ {
-			e.HandleMaxPulse(0.01, 1)
+			e.HandleMaxPulse(0.01, 0) // member 1
 		}
 	})
 	if err := eng.Run(0.02); err != nil {
@@ -102,7 +102,7 @@ func TestAdoptionNeedsFPlusOne(t *testing.T) {
 	// A second sender confirms level 5 → adopt 6·unit.
 	eng.MustSchedule(0.03, "honest", func(*sim.Engine) {
 		for i := 0; i < 5; i++ {
-			e.HandleMaxPulse(0.03, 2)
+			e.HandleMaxPulse(0.03, 1) // member 2
 		}
 	})
 	if err := eng.Run(0.04); err != nil {
@@ -133,9 +133,9 @@ func TestUnknownSenderIgnored(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	e.HandleMaxPulse(0, 99)
+	e.HandleMaxPulse(0, -1)
 	if e.Stats().Ignored != 1 {
-		t.Error("unknown sender should be ignored and counted")
+		t.Error("a negative sender index should be ignored and counted")
 	}
 }
 
@@ -203,7 +203,8 @@ func TestConfirmedLevel(t *testing.T) {
 // TestIncrementalConfirmedMatchesOracle drives random pulse sequences
 // through estimators of every small shape — k ∈ 1..7 members per group,
 // f ∈ 0..2 (so groups smaller than f+1 occur), two groups with scattered
-// non-contiguous IDs, unknown senders mixed in, a Reset in the middle —
+// non-contiguous IDs, negative sender indices mixed in, a Reset in the
+// middle —
 // and after every pulse compares each group's incrementally maintained
 // confirmed level with the sort-based oracle over shadow counts. The unit
 // is huge and the clock still, so no adoption ever moves M: only the
@@ -255,15 +256,16 @@ func TestIncrementalConfirmedMatchesOracle(t *testing.T) {
 				// Skewed sender choice: a few members run far ahead, as a
 				// Byzantine spammer would, the rest trail.
 				g := rng.Intn(2)
-				from := groups[g][int(float64(k)*math.Pow(rng.Float64(), 2))]
+				pos := int(float64(k) * math.Pow(rng.Float64(), 2))
+				idx := g*k + pos // the sender's index in the groups' concatenation
 				if rng.Intn(10) == 0 {
-					from = graph.NodeID(2000 + rng.Intn(50)) // in no group
+					idx = -1 - rng.Intn(50) // names no sender
 					ignored++
 				} else {
-					shadow[from]++
+					shadow[groups[g][pos]]++
 					heard++
 				}
-				e.HandleMaxPulse(0, from)
+				e.HandleMaxPulse(0, idx)
 				check(step)
 			}
 			if st := e.Stats(); st.PulsesHeard != heard || st.Ignored != ignored {
@@ -294,8 +296,8 @@ func TestHandleMaxPulseZeroAllocs(t *testing.T) {
 	}
 	i := 0
 	pulse := func() {
-		e.HandleMaxPulse(0, graph.NodeID(1+i%4))
-		e.HandleMaxPulse(0, graph.NodeID(11+i%4))
+		e.HandleMaxPulse(0, i%4)   // group {1, 2, 3, 4}
+		e.HandleMaxPulse(0, 4+i%4) // group {11, 12, 13, 14}
 		i++
 	}
 	for j := 0; j < 8; j++ {
@@ -346,8 +348,8 @@ func TestFloodingChain(t *testing.T) {
 		// of B's cluster raising their estimates near-simultaneously.
 		for i := 0; i < copies; i++ {
 			eng.MustSchedule(tt+relayDelay, "relay", func(e2 *sim.Engine) {
-				c.HandleMaxPulse(e2.Now(), 11)
-				c.HandleMaxPulse(e2.Now(), 12)
+				c.HandleMaxPulse(e2.Now(), 0) // member 11
+				c.HandleMaxPulse(e2.Now(), 1) // member 12
 			})
 		}
 	})
@@ -356,8 +358,8 @@ func TestFloodingChain(t *testing.T) {
 	// Two members of group 0 claim level 4.
 	eng.MustSchedule(0.01, "inject", func(e2 *sim.Engine) {
 		for i := 0; i < 4; i++ {
-			b.HandleMaxPulse(e2.Now(), 1)
-			b.HandleMaxPulse(e2.Now(), 2)
+			b.HandleMaxPulse(e2.Now(), 0) // member 1
+			b.HandleMaxPulse(e2.Now(), 1) // member 2
 		}
 	})
 	if err := eng.Run(0.05); err != nil {
@@ -388,6 +390,6 @@ func BenchmarkHandleMaxPulse(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.HandleMaxPulse(0, graph.NodeID(1+i%7))
+		e.HandleMaxPulse(0, i%7)
 	}
 }

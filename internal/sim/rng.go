@@ -51,17 +51,24 @@ func (r *RNG) Reseed(master int64, stream uint64) {
 }
 
 // src returns the underlying generator, seeding it on first use (or first
-// use after a Reseed).
+// use after a Reseed). The seeding is a separate method so that this check
+// stays small enough to inline into every draw.
 func (r *RNG) src() *rand.Rand {
 	if !r.seeded {
-		if r.rand == nil {
-			r.rand = rand.New(rand.NewSource(r.seed))
-		} else {
-			r.rand.Seed(r.seed)
-		}
-		r.seeded = true
+		r.seedSource()
 	}
 	return r.rand
+}
+
+// seedSource positions the generator at the start of stream r.seed,
+// materializing it on first use.
+func (r *RNG) seedSource() {
+	if r.rand == nil {
+		r.rand = rand.New(rand.NewSource(r.seed))
+	} else {
+		r.rand.Seed(r.seed)
+	}
+	r.seeded = true
 }
 
 // Float64 returns a sample uniformly distributed in [0, 1).

@@ -43,6 +43,11 @@ func (k Kind) String() string {
 type Pulse struct {
 	From graph.NodeID
 	Kind Kind
+	// Port is the receiver-side port the pulse arrived on: the sender's
+	// position in the receiver's adjacency list, Neighbors(to)[Port] ==
+	// From. A receiver can wire per-port state once and reach it with one
+	// slice read per pulse.
+	Port int32
 }
 
 // Handler consumes a pulse at its delivery time.
@@ -172,13 +177,55 @@ type Network struct {
 	// delayScratch buffers sampled per-neighbor delays so Broadcast can
 	// validate the whole pulse before scheduling any delivery.
 	delayScratch []float64
+
+	// ports[off[u]+j] is the receiver-side port of u's j-th edge: the
+	// position of u in the adjacency list of Neighbors(u)[j].
+	off   []int
+	ports []int32
 }
 
-// NewNetwork constructs a network over g using the given delay model.
+// NewNetwork constructs a network over g using the given delay model. The
+// graph must not gain edges afterwards: the network numbers every edge's
+// receiver-side port once, here.
 func NewNetwork(eng *sim.Engine, g *graph.Graph, delays DelayModel) *Network {
 	n := &Network{eng: eng, g: g, handlers: make([]Handler, g.N())}
+	n.off, n.ports = reversePorts(g)
 	n.Reset(delays)
 	return n
+}
+
+// reversePorts numbers the receiver-side port of every directed edge in
+// O(N+E), without searching any adjacency list. The first pass walks each
+// list Neighbors(v), where w at position p means the edge w→v arrives on
+// port p, and files the pair (v, p) in w's row, peers v ascending. The
+// second pass reorders each row into w's adjacency order through a
+// node-indexed scratch table.
+func reversePorts(g *graph.Graph) (off []int, ports []int32) {
+	n := g.N()
+	off = make([]int, n+1)
+	for v := 0; v < n; v++ {
+		off[v+1] = off[v] + g.Degree(v)
+	}
+	ports = make([]int32, off[n])
+	peer := make([]int32, off[n])
+	fill := make([]int, n)
+	for v := 0; v < n; v++ {
+		for p, w := range g.Neighbors(v) {
+			k := off[w] + fill[w]
+			fill[w]++
+			peer[k], ports[k] = int32(v), int32(p)
+		}
+	}
+	portTo := fill // reused: portTo[v] is the current row's port at v
+	for w := 0; w < n; w++ {
+		for k := off[w]; k < off[w+1]; k++ {
+			portTo[peer[k]] = int(ports[k])
+		}
+		for j, v := range g.Neighbors(w) {
+			ports[off[w]+j] = int32(portTo[v])
+		}
+	}
+	return off, ports
 }
 
 // Reset starts a run: it installs the run's delay model (stateful models
@@ -223,20 +270,25 @@ func (n *Network) validateDelay(delay float64, from, to graph.NodeID) error {
 	return nil
 }
 
-func (n *Network) deliver(at float64, from, to graph.NodeID, kind Kind) {
-	h := n.handlers[to]
+// kindBits is the width of the kind in a delivery's packed I2 slot; the
+// receiver-side port fills the bits above it.
+const kindBits = 2
+
+// deliverEvent is the pooled delivery callback: the pulse identity travels
+// as event data (from=I0, to=I1, port<<kindBits|kind=I2) instead of a
+// per-send closure.
+func deliverEvent(e *sim.Engine, d sim.Data) {
+	n := d.Ctx.(*Network)
+	h := n.handlers[d.I1]
 	if h == nil {
 		return
 	}
 	n.stats.Delivered++
-	h(at, Pulse{From: from, Kind: kind})
-}
-
-// deliverEvent is the pooled delivery callback: the pulse identity travels
-// as event data (from=I0, to=I1, kind=I2) instead of a per-send closure.
-func deliverEvent(e *sim.Engine, d sim.Data) {
-	n := d.Ctx.(*Network)
-	n.deliver(e.Now(), graph.NodeID(d.I0), graph.NodeID(d.I1), Kind(d.I2))
+	h(e.Now(), Pulse{
+		From: graph.NodeID(d.I0),
+		Kind: Kind(d.I2 & (1<<kindBits - 1)),
+		Port: d.I2 >> kindBits,
+	})
 }
 
 // loopbackFnEvent invokes a stored func(at float64) at delivery time. The
@@ -252,14 +304,14 @@ func loopbackFnEvent(e *sim.Engine, d sim.Data) {
 // event would be pushed, sifted and popped for nothing. The caller has
 // sampled the delay regardless — models may draw from one shared stream,
 // and later delays must not depend on who listens.
-func (n *Network) scheduleDelivery(t, delay float64, from, to graph.NodeID, kind Kind) error {
+func (n *Network) scheduleDelivery(t, delay float64, from, to graph.NodeID, kind Kind, port int32) error {
 	if n.handlers[to] == nil {
 		n.stats.Unheard++
 		return nil
 	}
 	n.stats.Sends++
 	_, err := n.eng.ScheduleData(t+delay, "pulse", deliverEvent, sim.Data{
-		Ctx: n, I0: int32(from), I1: int32(to), I2: int32(kind),
+		Ctx: n, I0: int32(from), I1: int32(to), I2: port<<kindBits | int32(kind),
 	})
 	return err
 }
@@ -286,8 +338,9 @@ func (n *Network) Broadcast(t float64, from graph.NodeID, kind Kind) error {
 		}
 		delays[i] = delay
 	}
+	ports := n.ports[n.off[from]:n.off[from+1]]
 	for i, to := range nbrs {
-		if err := n.scheduleDelivery(t, delays[i], from, to, kind); err != nil {
+		if err := n.scheduleDelivery(t, delays[i], from, to, kind, ports[i]); err != nil {
 			return err
 		}
 	}
@@ -299,14 +352,23 @@ func (n *Network) Broadcast(t float64, from graph.NodeID, kind Kind) error {
 // "not required to communicate by broadcast" (paper, Section 2, Faults).
 // A pulse to a node without a handler is sampled, counted and dropped.
 func (n *Network) SendTo(t float64, from, to graph.NodeID, kind Kind) error {
-	if !n.g.HasEdge(from, to) {
+	port := int32(-1)
+	if from >= 0 && from < n.g.N() {
+		for j, w := range n.g.Neighbors(from) {
+			if w == to {
+				port = n.ports[n.off[from]+j]
+				break
+			}
+		}
+	}
+	if port < 0 {
 		return fmt.Errorf("transport: no edge %d→%d", from, to)
 	}
 	delay := n.delays.Sample(from, to, t)
 	if err := n.validateDelay(delay, from, to); err != nil {
 		return err
 	}
-	return n.scheduleDelivery(t, delay, from, to, kind)
+	return n.scheduleDelivery(t, delay, from, to, kind, port)
 }
 
 // LoopbackFunc schedules fn to run after a sampled self-delivery delay.
