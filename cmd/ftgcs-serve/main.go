@@ -22,7 +22,7 @@
 //
 //	# what the registry knows; how the service is doing
 //	curl localhost:8080/v1/registry
-//	curl localhost:8080/v1/stats
+//	curl localhost:8080/v1/healthz
 //
 //	# observability: Prometheus metrics, per-job lifecycle trace, live SSE watch
 //	curl localhost:8080/metrics

@@ -762,11 +762,13 @@ func TestWaiterGetsCanceledSnapshot(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint: /v1/stats exposes the manager's counters — queue
-// depth, jobs by state, cache hits/misses/evictions and the coalesce
-// count — from the same source healthz embeds.
+// TestStatsEndpoint: /v1/healthz serves the manager's counters under
+// "stats" — queue depth, jobs by state, cache hits/misses/evictions and
+// the coalesce count — and its cumulative counters agree with the
+// manager's (gauges can legitimately differ between two instants). It is
+// the one JSON stats view: there is no separate /v1/stats route.
 func TestStatsEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Options{})
+	ts, mgr := newTestServer(t, jobs.Options{})
 
 	if code, body := post(t, ts, "/v1/experiments?wait=true", lineSpec); code != http.StatusOK {
 		t.Fatalf("submit: %d %s", code, body)
@@ -776,9 +778,19 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("resubmit: %d %s", code, body)
 	}
 
-	code, body := get(t, ts, "/v1/stats")
+	code, body := get(t, ts, "/v1/healthz")
 	if code != http.StatusOK {
-		t.Fatalf("stats: %d %s", code, body)
+		t.Fatalf("healthz: %d %s", code, body)
+	}
+	var health struct {
+		Status string          `json:"status"`
+		Stats  json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal(body, &health); err != nil {
+		t.Fatalf("%v: %s", err, body)
+	}
+	if health.Status != "ok" {
+		t.Errorf("healthz status = %q", health.Status)
 	}
 	var stats struct {
 		Submitted   uint64 `json:"submitted"`
@@ -793,11 +805,14 @@ func TestStatsEndpoint(t *testing.T) {
 		Running     *int   `json:"running"`
 		CacheLen    *int   `json:"cacheLen"`
 	}
-	if err := json.Unmarshal(body, &stats); err != nil {
+	if err := json.Unmarshal(health.Stats, &stats); err != nil {
 		t.Fatalf("%v: %s", err, body)
 	}
 	if stats.Submitted != 1 || stats.Runs != 1 || stats.Completed != 1 {
 		t.Fatalf("counters wrong: %s", body)
+	}
+	if m := mgr.Stats(); m.Submitted != stats.Submitted || m.Runs != stats.Runs || m.Completed != stats.Completed {
+		t.Errorf("healthz counters %s disagree with the manager's %+v", health.Stats, m)
 	}
 	if stats.CacheHits == 0 {
 		t.Fatalf("cache hit not counted: %s", body)
@@ -813,6 +828,9 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if *stats.CacheLen != 1 {
 		t.Fatalf("cacheLen = %d, want 1: %s", *stats.CacheLen, body)
+	}
+	if code, _ := get(t, ts, "/v1/stats"); code != http.StatusNotFound {
+		t.Errorf("GET /v1/stats = %d, want 404", code)
 	}
 }
 

@@ -16,11 +16,9 @@ import (
 	"ftgcs/internal/telemetry"
 )
 
-// statsSnapshot is the one assembly point for the JSON stats views:
-// /v1/healthz serves the whole struct, /v1/stats serves its Stats
-// field, and both are built in a single pass from the same
-// telemetry-backed counters GET /metrics scrapes — so the three views
-// of the service can never disagree about a number mid-scrape.
+// statsSnapshot is what /v1/healthz serves, built in a single pass from
+// the same telemetry-backed counters GET /metrics scrapes — so the two
+// views of the service can never disagree about a number mid-scrape.
 type statsSnapshot struct {
 	// Status is "ok", or "degraded" while the disk-store breaker is open
 	// and the manager is running memory-only (jobs still complete; results

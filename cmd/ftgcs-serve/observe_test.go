@@ -303,41 +303,6 @@ func TestWatchUnknownJob(t *testing.T) {
 	}
 }
 
-// TestStatsHealthzShareSnapshot: /v1/healthz embeds the same stats
-// object /v1/stats serves, both derived from the telemetry registry.
-func TestStatsHealthzShareSnapshot(t *testing.T) {
-	ts, mgr := newObserveServer(t, jobs.Options{})
-	if code, body := post(t, ts, "/v1/experiments?wait=true", lineSpec); code != http.StatusOK {
-		t.Fatalf("POST: %d %s", code, body)
-	}
-
-	var flat jobs.Stats
-	if code, body := get(t, ts, "/v1/stats"); code != http.StatusOK {
-		t.Fatalf("stats: %d %s", code, body)
-	} else if err := json.Unmarshal(body, &flat); err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Status string     `json:"status"`
-		Stats  jobs.Stats `json:"stats"`
-	}
-	if code, body := get(t, ts, "/v1/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz: %d %s", code, body)
-	} else if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Status != "ok" {
-		t.Errorf("healthz status = %q", health.Status)
-	}
-	// The cumulative counters agree across the JSON views and the manager
-	// (gauges can legitimately differ between two instants).
-	for _, s := range []jobs.Stats{flat, health.Stats, mgr.Stats()} {
-		if s.Submitted != 1 || s.Runs != 1 || s.Completed != 1 {
-			t.Errorf("counters disagree: %+v", s)
-		}
-	}
-}
-
 // TestPprofGated: /debug/pprof/ is 404 without -pprof and serves the
 // index with it.
 func TestPprofGated(t *testing.T) {

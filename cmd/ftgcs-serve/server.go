@@ -105,8 +105,7 @@ type server struct {
 //	GET    /v1/manifests/{id}      poll a manifest run
 //	DELETE /v1/manifests/{id}      cancel a manifest run's remaining arms
 //	GET    /v1/registry            enumerate registered names
-//	GET    /v1/stats               job/cache/queue/store counters
-//	GET    /v1/healthz             liveness + manager stats
+//	GET    /v1/healthz             liveness + job/cache/queue/store counters
 //	GET    /v1/experiments/{id}/trace  lifecycle span list for a job
 //	GET    /metrics                Prometheus text exposition
 //
@@ -154,7 +153,6 @@ func newHandler(s *server) http.Handler {
 	mux.HandleFunc("GET /v1/manifests/{id}", s.handleManifestGet)
 	mux.HandleFunc("DELETE /v1/manifests/{id}", s.handleManifestCancel)
 	mux.HandleFunc("GET /v1/registry", s.handleRegistry)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.enablePprof {
@@ -531,15 +529,6 @@ func (s *server) handleManifestCancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStats is GET /v1/stats: the manager's cumulative counters
-// (submitted/completed/failed/canceled/runs, cache hits/misses/evictions,
-// coalesce count) plus instantaneous gauges (queue depth, running jobs,
-// cache length). The numbers come from the same snapshot /v1/healthz and
-// GET /metrics read.
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.snapshotStats().Stats)
-}
-
 func (s *server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"topologies": s.reg.TopologyNames(),
@@ -550,6 +539,10 @@ func (s *server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// handleHealthz is GET /v1/healthz: liveness ("ok", or "degraded" while
+// the store breaker is open) plus the manager's cumulative counters and
+// instantaneous gauges under "stats", and the store's when one is
+// attached — one snapshot, the numbers GET /metrics scrapes.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.snapshotStats())
 }

@@ -179,12 +179,13 @@ func (s *System) Summary(warmup float64) Summary { return s.sys.Summarize(warmup
 
 // PulseDiameters returns ‖p(r)‖ for cluster c indexed by round, for rounds
 // where every correct member pulsed (see the pulse-diameter convergence
-// experiment).
+// experiment), read from the round traces. Empty unless WithRoundTracking.
 func (s *System) PulseDiameters(c ClusterID) map[int]float64 { return s.sys.PulseDiameters(c) }
 
-// RoundTrace returns node v's recorded round boundaries (times, logical
-// values, modes). Empty unless the scenario enabled WithRoundTracking.
-func (s *System) RoundTrace(v NodeID) (times, values []float64, modes []int8) {
+// RoundTrace returns node v's round trace: per round its start time, its
+// logical value then and its pulse time (NaN until the pulse fires).
+// Empty unless WithRoundTracking.
+func (s *System) RoundTrace(v NodeID) (times, values, pulses []float64) {
 	return s.sys.RoundTrace(v)
 }
 

@@ -91,6 +91,8 @@ type System struct {
 	aug *graph.Augmented
 	net *transport.Network
 	rec *metrics.Recorder
+	// Handles of the three series sample appends to.
+	intra, local, global *metrics.Series
 
 	parents []graph.ClusterID // parent of each cluster; root's is -1
 	depth   []int
@@ -150,13 +152,17 @@ func NewSystem(cfg Config) (*System, error) {
 		eng:        eng,
 		aug:        aug,
 		net:        net,
-		rec:        metrics.NewRecorder(),
+		rec:        metrics.NewRecorder(0, core.SeriesIntraSkew, core.SeriesLocalCluster, core.SeriesGlobal),
 		parents:    parents,
 		depth:      depth,
 		rootInsts:  make(map[graph.NodeID]*cluster.Instance),
 		rootClocks: make(map[graph.NodeID]*clockwork.LogicalClock),
 		slaves:     make(map[graph.NodeID]*slaveNode),
 	}
+
+	s.intra = s.rec.Handle(core.SeriesIntraSkew)
+	s.local = s.rec.Handle(core.SeriesLocalCluster)
+	s.global = s.rec.Handle(core.SeriesGlobal)
 
 	for v := 0; v < aug.Net.N(); v++ {
 		c := aug.ClusterOf(v)
@@ -376,9 +382,9 @@ func (s *System) sample(t float64) {
 	for _, e := range s.cfg.Base.Edges() {
 		local = math.Max(local, math.Abs(clocks[e[0]]-clocks[e[1]]))
 	}
-	s.rec.Observe(core.SeriesIntraSkew, t, intra)
-	s.rec.Observe(core.SeriesLocalCluster, t, local)
-	s.rec.Observe(core.SeriesGlobal, t, globalHi-globalLo)
+	s.intra.Append(t, intra)
+	s.local.Append(t, local)
+	s.global.Append(t, globalHi-globalLo)
 }
 
 // Recorder returns the metrics recorder.

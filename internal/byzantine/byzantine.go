@@ -266,6 +266,7 @@ func (s AdaptiveTwoFaced) Install(ctx Ctx) (transport.Handler, error) {
 		off = ctx.Params.Phi * ctx.Params.Tau3 / 2
 	}
 	p := ctx.Params
+	c := &ctx
 	last := make(map[graph.NodeID]float64)
 	// Victims are split into "ahead" (even ID) and "behind" (odd ID)
 	// halves. The split must be a deterministic function of the victim so
@@ -301,9 +302,7 @@ func (s AdaptiveTwoFaced) Install(ctx Ctx) (transport.Handler, error) {
 			shift = off // and behind odd-ID ones
 		}
 		target := math.Max(at, at+gap+shift)
-		ctx.Eng.MustSchedule(target, "byz-adaptive", func(e *sim.Engine) {
-			_ = ctx.Net.SendTo(e.Now(), ctx.Self, w, transport.PulseClock)
-		})
+		ctx.Eng.MustScheduleData(target, "byz-adaptive", sendOneEvent, sim.Data{Ctx: c, I0: int32(w)})
 	}
 	return handler, nil
 }

@@ -287,3 +287,44 @@ func TestRoundSendsAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptiveRepliesAllocFree: the adaptive attacker's per-victim replies
+// ride as pooled event data too, so once every victim has been heard from
+// a round of replies allocates nothing. It scheduled one closure per
+// victim pulse before.
+func TestAdaptiveRepliesAllocFree(t *testing.T) {
+	ctx, received := testCtx(t)
+	for v := 1; v < 5; v++ {
+		ctx.Net.OnPulse(v, func(float64, transport.Pulse) { *received = (*received)[:0] })
+	}
+	handler, err := (AdaptiveTwoFaced{}).Install(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ctx.Params
+	// Victims 1 and 2 pulse once per round.
+	var pulse func(*sim.Engine)
+	pulse = func(e *sim.Engine) {
+		handler(e.Now(), transport.Pulse{From: 1, Kind: transport.PulseClock})
+		handler(e.Now(), transport.Pulse{From: 2, Kind: transport.PulseClock})
+		e.MustSchedule(e.Now()+p.T, "victim-pulse", pulse)
+	}
+	ctx.Eng.MustSchedule(p.Tau1, "victim-pulse", pulse)
+	until := 3 * p.T // warm the engine's event pool and the victim table
+	if err := ctx.Eng.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	sent := ctx.Net.Stats().Sends
+	avg := testing.AllocsPerRun(20, func() {
+		until += p.T
+		if err := ctx.Eng.Run(until); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ctx.Net.Stats().Sends == sent {
+		t.Fatal("no reply sent in the measured rounds")
+	}
+	if !sim.RaceEnabled && avg != 0 {
+		t.Errorf("a round of replies allocates %.1f, want 0", avg)
+	}
+}

@@ -62,8 +62,9 @@ type Config struct {
 	// δ has been reset to 1 and before the next phase timer is scheduled.
 	// The GCS layer sets γ here (Algorithm 2 acts "at-time L_v(t_v(r))").
 	OnRoundStart func(r int, t float64)
-	// OnPulse is invoked when the instance (would) broadcast(s) its round-r
-	// pulse; metrics use it to compute pulse diameters ‖p(r)‖.
+	// OnPulse, when non-nil, is invoked when the instance (would)
+	// broadcast(s) its round-r pulse; the round trace records it, and
+	// pulse diameters ‖p(r)‖ are read from there.
 	OnPulse func(r int, t float64)
 }
 

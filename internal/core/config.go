@@ -63,13 +63,14 @@ type Config struct {
 	SampleInterval float64
 	// HorizonHint, when positive, is the expected run horizon in
 	// simulated seconds. It is a preallocation hint only — metric series
-	// and per-round pulse bookkeeping are sized for it up front so the
-	// recording hot path does not reallocate — and has no effect on any
-	// simulated value. Runs may exceed the hint; slices then grow as
-	// before.
+	// are sized for it up front so the sampler does not reallocate — and
+	// has no effect on any simulated value. Runs may exceed the hint;
+	// series then grow as before.
 	HorizonHint float64
-	// TrackRounds records per-node round boundaries, logical values and
-	// modes (experiments E3, E4).
+	// TrackRounds records a per-node round trace with three columns per
+	// round: its start time, the logical value then and its pulse time.
+	// System.PulseDiameters reads the pulse column (experiment E3), the
+	// rate windows of experiment E4 the other two.
 	TrackRounds bool
 
 	// ModeOverride, when non-nil, replaces the GCS decision: returning

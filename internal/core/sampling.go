@@ -29,6 +29,37 @@ const (
 	SeriesFastFraction = "gcs/fast-fraction"
 )
 
+// sampled holds the handles of the series the sampler appends to, in
+// declaration order; the maxest ones are nil unless global skew is on.
+type sampled struct {
+	intra, localCluster, localNode, global, fastFraction *metrics.Series
+	maxEstLag, maxEstViolations                          *metrics.Series
+}
+
+// declareSeries builds the recorder with the series this configuration
+// samples. With a HorizonHint each is sized for the expected sample count
+// (+2: the fencepost and a final sample at the horizon itself).
+func (s *System) declareSeries() {
+	names := []string{SeriesIntraSkew, SeriesLocalCluster, SeriesLocalNode, SeriesGlobal, SeriesFastFraction}
+	if s.cfg.EnableGlobalSkew {
+		names = append(names, SeriesMaxEstLag, SeriesMaxEstViolations)
+	}
+	capacity := 0
+	if s.cfg.HorizonHint > 0 {
+		capacity = int(s.cfg.HorizonHint/s.sampleInterval) + 2
+	}
+	s.rec = metrics.NewRecorder(capacity, names...)
+	s.ser = sampled{
+		intra:            s.rec.Handle(SeriesIntraSkew),
+		localCluster:     s.rec.Handle(SeriesLocalCluster),
+		localNode:        s.rec.Handle(SeriesLocalNode),
+		global:           s.rec.Handle(SeriesGlobal),
+		fastFraction:     s.rec.Handle(SeriesFastFraction),
+		maxEstLag:        s.rec.Handle(SeriesMaxEstLag),
+		maxEstViolations: s.rec.Handle(SeriesMaxEstViolations),
+	}
+}
+
 func (s *System) scheduleSampler() {
 	var tick func(e *sim.Engine)
 	tick = func(e *sim.Engine) {
@@ -75,10 +106,10 @@ func (s *System) sample(t float64) {
 		localNode = math.Max(localNode, highs[c]-lows[b])
 	}
 
-	s.rec.Observe(SeriesIntraSkew, t, intraMax)
-	s.rec.Observe(SeriesLocalCluster, t, localCluster)
-	s.rec.Observe(SeriesLocalNode, t, localNode)
-	s.rec.Observe(SeriesGlobal, t, globalHi-globalLo)
+	s.ser.intra.Append(t, intraMax)
+	s.ser.localCluster.Append(t, localCluster)
+	s.ser.localNode.Append(t, localNode)
+	s.ser.global.Append(t, globalHi-globalLo)
 
 	// Fast-mode fraction.
 	total, fast := 0, 0
@@ -92,7 +123,7 @@ func (s *System) sample(t float64) {
 		}
 	}
 	if total > 0 {
-		s.rec.Observe(SeriesFastFraction, t, float64(fast)/float64(total))
+		s.ser.fastFraction.Append(t, float64(fast)/float64(total))
 	}
 
 	// Global max-estimate health.
@@ -109,8 +140,8 @@ func (s *System) sample(t float64) {
 			}
 			lag = math.Max(lag, globalHi-m)
 		}
-		s.rec.Observe(SeriesMaxEstLag, t, lag)
-		s.rec.Observe(SeriesMaxEstViolations, t, violations)
+		s.ser.maxEstLag.Append(t, lag)
+		s.ser.maxEstViolations.Append(t, violations)
 	}
 }
 

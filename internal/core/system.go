@@ -48,10 +48,12 @@ type node struct {
 	driftRng *sim.RNG
 	byzRng   *sim.RNG
 
-	// Round tracking (Config.TrackRounds).
+	// Round trace (Config.TrackRounds), one entry per round: its start
+	// time, the logical value then, and its pulse time (NaN until the
+	// pulse fires).
 	roundTimes  []float64
 	roundValues []float64
-	roundModes  []int8
+	roundPulses []float64
 }
 
 // System is a fully wired simulation.
@@ -61,15 +63,9 @@ type System struct {
 	aug *graph.Augmented
 	net *transport.Network
 	rec *metrics.Recorder
+	ser sampled
 
 	nodes []*node
-
-	// pulse bookkeeping per cluster per round over correct members,
-	// round-indexed (rounds are dense and 1-based): min/max Newtonian
-	// pulse time and count. Slices grow on demand as rounds advance.
-	pulseMin   [][]float64
-	pulseMax   [][]float64
-	pulseCount [][]int32
 
 	// sampler scratch, reused every tick.
 	sampleLows, sampleHighs, sampleClocks []float64
@@ -84,9 +80,6 @@ type System struct {
 	delayRng *sim.RNG
 
 	sampleInterval float64
-	// expectedRounds, when positive, sizes the per-cluster pulse slices
-	// on their first use (from Config.HorizonHint).
-	expectedRounds int
 	started        bool
 }
 
@@ -114,11 +107,7 @@ func NewSystem(cfg Config) (*System, error) {
 		eng:            eng,
 		aug:            aug,
 		net:            net,
-		rec:            metrics.NewRecorder(),
 		nodes:          make([]*node, aug.Net.N()),
-		pulseMin:       make([][]float64, nc),
-		pulseMax:       make([][]float64, nc),
-		pulseCount:     make([][]int32, nc),
 		sampleLows:     make([]float64, nc),
 		sampleHighs:    make([]float64, nc),
 		sampleClocks:   make([]float64, nc),
@@ -130,23 +119,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if s.sampleInterval <= 0 {
 		s.sampleInterval = cfg.Params.T / 2
 	}
-	if cfg.HorizonHint > 0 {
-		// Expected sample count for the standard series; +2 covers the
-		// fencepost and a final sample at the horizon itself.
-		samples := int(cfg.HorizonHint/s.sampleInterval) + 2
-		s.rec.Reserve(SeriesIntraSkew, samples)
-		s.rec.Reserve(SeriesLocalCluster, samples)
-		s.rec.Reserve(SeriesLocalNode, samples)
-		s.rec.Reserve(SeriesGlobal, samples)
-		s.rec.Reserve(SeriesFastFraction, samples)
-		if cfg.EnableGlobalSkew {
-			s.rec.Reserve(SeriesMaxEstLag, samples)
-			s.rec.Reserve(SeriesMaxEstViolations, samples)
-		}
-		// Rounds advance roughly every T seconds; +8 absorbs fast-mode
-		// compression of round length.
-		s.expectedRounds = int(cfg.HorizonHint/cfg.Params.T) + 8
-	}
+	s.declareSeries()
 
 	faults := make(map[graph.NodeID]FaultSpec)
 	for _, f := range cfg.Faults {
@@ -199,6 +172,10 @@ func (s *System) wireNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) err
 	// event data without allocating.
 	k, self := cfg.K, s.aug.IndexIn(v)
 	mainDeliver := func(at float64) { n.inst.HandlePulse(at, self) }
+	var onPulse func(r int, t float64)
+	if cfg.TrackRounds {
+		onPulse = func(r int, t float64) { n.roundPulses[r-1] = t }
+	}
 	inst, err := cluster.New(s.eng, cluster.Config{
 		Params:  p,
 		F:       cfg.F,
@@ -219,9 +196,7 @@ func (s *System) wireNode(v graph.NodeID, faults map[graph.NodeID]FaultSpec) err
 				panic(err)
 			}
 		},
-		OnPulse: func(r int, t float64) {
-			s.recordPulse(c, v, r, t)
-		},
+		OnPulse: onPulse,
 		OnRoundStart: func(r int, t float64) {
 			s.decideMode(n, r, t)
 		},
@@ -326,32 +301,6 @@ type port struct {
 	slot, member int32
 }
 
-// recordPulse updates per-cluster pulse diameter bookkeeping (correct
-// members only). Rounds advance densely, so the per-cluster slices grow by
-// at most one entry per round (amortized, no per-pulse allocation).
-func (s *System) recordPulse(c graph.ClusterID, v graph.NodeID, r int, t float64) {
-	if s.nodes[v].faulty {
-		return
-	}
-	if s.pulseMin[c] == nil && s.expectedRounds > r {
-		s.pulseMin[c] = make([]float64, 0, s.expectedRounds+1)
-		s.pulseMax[c] = make([]float64, 0, s.expectedRounds+1)
-		s.pulseCount[c] = make([]int32, 0, s.expectedRounds+1)
-	}
-	for len(s.pulseMin[c]) <= r {
-		s.pulseMin[c] = append(s.pulseMin[c], math.Inf(1))
-		s.pulseMax[c] = append(s.pulseMax[c], math.Inf(-1))
-		s.pulseCount[c] = append(s.pulseCount[c], 0)
-	}
-	if t < s.pulseMin[c][r] {
-		s.pulseMin[c][r] = t
-	}
-	if t > s.pulseMax[c][r] {
-		s.pulseMax[c][r] = t
-	}
-	s.pulseCount[c][r]++
-}
-
 // decideMode runs the InterclusterSync decision for node n at round start.
 func (s *System) decideMode(n *node, r int, t float64) {
 	cfg := &s.cfg
@@ -364,7 +313,7 @@ func (s *System) decideMode(n *node, r int, t float64) {
 				mode = gcs.Fast
 			}
 			n.main.SetGamma(t, mode.Gamma())
-			n.recordRound(t, mode)
+			n.recordRound(t)
 			return
 		}
 	}
@@ -389,16 +338,18 @@ func (s *System) decideMode(n *node, r int, t float64) {
 	n.gcsStats.Record(d)
 	mode = d.Mode
 	n.main.SetGamma(t, mode.Gamma())
-	n.recordRound(t, mode)
+	n.recordRound(t)
 }
 
-func (n *node) recordRound(t float64, mode gcs.Mode) {
+// recordRound opens the round trace entry of a round starting at t. Start
+// seeds round 1's entry, so the trace stays nil unless Config.TrackRounds.
+func (n *node) recordRound(t float64) {
 	if n.roundTimes == nil {
 		return
 	}
 	n.roundTimes = append(n.roundTimes, t)
 	n.roundValues = append(n.roundValues, n.main.Value(t))
-	n.roundModes = append(n.roundModes, int8(mode.Gamma()))
+	n.roundPulses = append(n.roundPulses, math.NaN())
 }
 
 // Start launches every protocol instance at the current engine time
@@ -416,7 +367,7 @@ func (s *System) Start() error {
 			// Truncate-and-seed so a reset system reuses the trace arrays.
 			n.roundTimes = append(n.roundTimes[:0], 0)
 			n.roundValues = append(n.roundValues[:0], 0)
-			n.roundModes = append(n.roundModes[:0], 0)
+			n.roundPulses = append(n.roundPulses[:0], math.NaN())
 		}
 		n := n
 		startAll := func() error {
@@ -466,8 +417,8 @@ func (s *System) Start() error {
 // is that it also clears whatever a previous run left behind.
 //
 // Everything NewSystem allocated survives: the graph augmentation, neighbor
-// tables, engine event slab, cluster reception buffers, metric series
-// backing arrays and pulse bookkeeping. The engine's sequence counter
+// tables, engine event slab, cluster reception buffers, and the backing
+// arrays of the metric series and round traces. The engine's sequence counter
 // restarts at 0. Then, in node order, each node's streams are derived from
 // the seed, its rate model is built, and its pulse handler is registered —
 // a Byzantine strategy's by installing it. The order is part of the
@@ -486,13 +437,6 @@ func (s *System) Reset(seed int64) error {
 	s.delayRng.Reseed(seed, 1)
 	s.net.Reset(BuildDelay(cfg.Delay, p, s.delayRng))
 	s.rec.Reset()
-	for c := range s.pulseMin {
-		// recordPulse's prealloc branch keys on nil, so a truncated slice
-		// keeps its capacity and a never-used nil slice stays nil.
-		s.pulseMin[c] = s.pulseMin[c][:0]
-		s.pulseMax[c] = s.pulseMax[c][:0]
-		s.pulseCount[c] = s.pulseCount[c][:0]
-	}
 	for _, n := range s.nodes {
 		v := n.id
 		n.driftRng.Reseed(seed, 100+uint64(v))
@@ -508,7 +452,7 @@ func (s *System) Reset(seed int64) error {
 		n.gcsStats = gcs.Stats{}
 		n.roundTimes = n.roundTimes[:0]
 		n.roundValues = n.roundValues[:0]
-		n.roundModes = n.roundModes[:0]
+		n.roundPulses = n.roundPulses[:0]
 		handler := n.route
 		if n.inst == nil {
 			// Strategy-driven: if the strategy is adaptive it receives the
@@ -655,29 +599,41 @@ func (s *System) InstanceStats(v graph.NodeID) cluster.Stats {
 	return s.nodes[v].inst.Stats()
 }
 
-// PulseDiameters returns ‖p(r)‖ for cluster c indexed by round, for rounds
-// where every correct member pulsed.
+// PulseDiameters returns ‖p(r)‖ for cluster c indexed by round, read from
+// the round traces of its correct members: a round counts when every one
+// of them pulsed, in a cluster of at least 2 correct members. Empty unless
+// Config.TrackRounds.
 func (s *System) PulseDiameters(c graph.ClusterID) map[int]float64 {
-	correct := 0
+	var pulses [][]float64
+	rounds := math.MaxInt
 	for _, v := range s.aug.Members(c) {
-		if !s.nodes[v].faulty && s.nodes[v].inst != nil {
-			correct++
+		if n := s.nodes[v]; !n.faulty && n.inst != nil {
+			pulses = append(pulses, n.roundPulses)
+			rounds = min(rounds, len(n.roundPulses))
 		}
 	}
 	out := make(map[int]float64)
-	for r, cnt := range s.pulseCount[c] {
-		if int(cnt) == correct && correct >= 2 {
-			out[r] = s.pulseMax[c][r] - s.pulseMin[c][r]
+	if len(pulses) < 2 {
+		return out
+	}
+	for i := 0; i < rounds; i++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, p := range pulses {
+			lo, hi = math.Min(lo, p[i]), math.Max(hi, p[i])
+		}
+		if !math.IsNaN(hi - lo) { // NaN: a member has not pulsed yet
+			out[i+1] = hi - lo
 		}
 	}
 	return out
 }
 
-// RoundTrace returns node v's recorded round boundaries (times, logical
-// values, modes). Empty unless Config.TrackRounds.
-func (s *System) RoundTrace(v graph.NodeID) (times, values []float64, modes []int8) {
+// RoundTrace returns node v's round trace: per round its start time, its
+// logical value then and its pulse time (NaN until the pulse fires).
+// Empty unless Config.TrackRounds.
+func (s *System) RoundTrace(v graph.NodeID) (times, values, pulses []float64) {
 	n := s.nodes[v]
-	return n.roundTimes, n.roundValues, n.roundModes
+	return n.roundTimes, n.roundValues, n.roundPulses
 }
 
 // InjectClockFault discontinuously shifts node v's logical clock by delta

@@ -138,6 +138,7 @@ func TestStaggeredStartConverges(t *testing.T) {
 		Base: graph.Line(1), K: 4, F: 1, Params: p, Seed: 25,
 		Drift:        SpreadDrift{},
 		StaggerStart: 2 * p.EG,
+		TrackRounds:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -237,20 +237,15 @@ func TestModeOverride(t *testing.T) {
 	if c0 <= c1 {
 		t.Errorf("forced-fast cluster clock %v should lead forced-slow %v", c0, c1)
 	}
-	// Round traces recorded.
-	times, values, modes := sys.RoundTrace(0)
-	if len(times) < 20 || len(values) != len(times) || len(modes) != len(times) {
-		t.Errorf("round trace lengths: %d %d %d", len(times), len(values), len(modes))
+	// Round traces recorded: every round but possibly the last has pulsed.
+	times, values, pulses := sys.RoundTrace(0)
+	if len(times) < 20 || len(values) != len(times) || len(pulses) != len(times) {
+		t.Fatalf("round trace lengths: %d %d %d", len(times), len(values), len(pulses))
 	}
-	// Node 0 (cluster 0) forced fast from round 2 on.
-	fastSeen := false
-	for _, m := range modes[2:] {
-		if m == 1 {
-			fastSeen = true
+	for r, pt := range pulses[:len(pulses)-1] {
+		if !(pt > times[r]) || (r+1 < len(times) && !(pt < times[r+1])) {
+			t.Errorf("round %d pulse at %v outside its round [%v, next start)", r+1, pt, times[r])
 		}
-	}
-	if !fastSeen {
-		t.Error("override did not force fast mode")
 	}
 }
 
@@ -258,7 +253,8 @@ func TestPulseDiametersRecorded(t *testing.T) {
 	p := testParams(t)
 	sys, err := NewSystem(Config{
 		Base: graph.Line(2), K: 4, F: 1, Params: p, Seed: 9,
-		Drift: SpreadDrift{},
+		Drift:       SpreadDrift{},
+		TrackRounds: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +265,17 @@ func TestPulseDiametersRecorded(t *testing.T) {
 	diams := sys.PulseDiameters(0)
 	if len(diams) < 15 {
 		t.Fatalf("only %d rounds of pulse diameters", len(diams))
+	}
+	// Pulse diameters are read from the round traces: none without them.
+	untracked, err := NewSystem(Config{Base: graph.Line(2), K: 4, F: 1, Params: p, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := untracked.Run(5 * p.T); err != nil {
+		t.Fatal(err)
+	}
+	if d := untracked.PulseDiameters(0); len(d) != 0 {
+		t.Errorf("untracked run has %d pulse diameters, want none", len(d))
 	}
 	for r, dm := range diams {
 		if dm > p.EG {

@@ -111,6 +111,7 @@ func runE3(rc RunConfig) (*Table, error) {
 			ftgcs.WithFaults(faults...),
 			ftgcs.WithGlobalSkew(false),
 			ftgcs.WithStaggerStart(st),
+			ftgcs.WithRoundTracking(),
 			ftgcs.WithHorizonRounds(float64(rounds)),
 			ftgcs.WithObserver(func(sys *ftgcs.System) (any, error) {
 				return sys.PulseDiameters(0), nil

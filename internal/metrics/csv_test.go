@@ -8,11 +8,11 @@ import (
 )
 
 func TestWriteCSV(t *testing.T) {
-	r := NewRecorder()
-	r.Observe("a", 0, 1)
-	r.Observe("a", 1, 2)
-	r.Observe("b", 1, 10)
-	r.Observe("b", 2, 20)
+	r := NewRecorder(0, "a", "b")
+	observe(r, "a", 0, 1)
+	observe(r, "a", 1, 2)
+	observe(r, "b", 1, 10)
+	observe(r, "b", 2, 20)
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
@@ -42,9 +42,9 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteCSVSelectedSeries(t *testing.T) {
-	r := NewRecorder()
-	r.Observe("a", 0, 1)
-	r.Observe("b", 0, 2)
+	r := NewRecorder(0, "a", "b")
+	observe(r, "a", 0, 1)
+	observe(r, "b", 0, 2)
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf, "b"); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestWriteCSVSelectedSeries(t *testing.T) {
 }
 
 func TestWriteCSVEmptyRecorder(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(0)
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatalf("empty recorder: %v", err)

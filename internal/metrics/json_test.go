@@ -94,10 +94,10 @@ func TestSeriesUnmarshalLengthMismatch(t *testing.T) {
 }
 
 func TestRecorderWriteJSON(t *testing.T) {
-	r := NewRecorder()
-	r.Observe("a", 1, 10)
-	r.Observe("b", 1, 20)
-	r.Observe("a", 2, 11)
+	r := NewRecorder(0, "a", "b")
+	observe(r, "a", 1, 10)
+	observe(r, "b", 1, 20)
+	observe(r, "a", 2, 11)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {

@@ -14,10 +14,18 @@ type Series struct {
 	Name   string
 	Times  []float64
 	Values []float64
+	// reserve is the capacity the first Append allocates (NewRecorder's
+	// preallocation hint): a declared series costs nothing until it is
+	// fed, and a fed one keeps its arrays across Recorder.Reset.
+	reserve int
 }
 
 // Append adds a sample. Times should be non-decreasing.
 func (s *Series) Append(t, v float64) {
+	if s.Times == nil && s.reserve > 0 {
+		s.Times = make([]float64, 0, s.reserve)
+		s.Values = make([]float64, 0, s.reserve)
+	}
 	s.Times = append(s.Times, t)
 	s.Values = append(s.Values, v)
 }
@@ -79,105 +87,66 @@ func (s *Series) MaxAfter(start float64) float64 {
 	return max
 }
 
-// Recorder is a bag of named series.
+// Recorder holds an ordered, fixed set of named series, declared when it
+// is built. A series is present once it holds a sample: Names and Series
+// see only present series, so a declared series a run never fed stays
+// absent (Summarize and the CSV/JSON exporters key off presence).
+// Producers append through the handles Handle returns.
 type Recorder struct {
-	series map[string]*Series
-	order  []string
-	// reserve holds per-name capacity hints (Reserve): a series is still
-	// created lazily on its first Observe — presence semantics are
-	// unchanged — but it is born with its full expected capacity, so a
-	// run whose sample count is known up front appends without a single
-	// growth reallocation.
-	reserve map[string]int
-	// pool holds series parked by Reset, keyed by name: absent from the
-	// recorder (Names/Series behave exactly as on a fresh recorder) but
-	// keeping their backing arrays, which the next Observe of the same
-	// name adopts instead of allocating.
-	pool map[string]*Series
+	series []*Series
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{series: make(map[string]*Series)}
-}
-
-// Reserve registers a capacity hint for the named series: when (if) the
-// series is created by Observe, its Times/Values are preallocated to hold
-// n samples. Reserving never creates the series — a reserved name that is
-// never observed stays absent, exactly as before — and reserving an
-// already-created series is a no-op. Callers that know the sample count
-// at build time (horizon / sampleInterval) use this to keep the recording
-// hot path allocation-free.
-func (r *Recorder) Reserve(name string, n int) {
-	if n <= 0 || r.series[name] != nil {
-		return
+// NewRecorder returns a recorder declaring one empty series per name, in
+// order. capacity is a preallocation hint (0 for none): a series allocates
+// room for that many samples on its first Append, and grows as usual past
+// it.
+func NewRecorder(capacity int, names ...string) *Recorder {
+	r := &Recorder{series: make([]*Series, len(names))}
+	for i, name := range names {
+		r.series[i] = &Series{Name: name, reserve: capacity}
 	}
-	if r.reserve == nil {
-		r.reserve = make(map[string]int)
-	}
-	r.reserve[name] = n
+	return r
 }
 
-// Observe appends a sample to the named series, creating it if needed. A
-// series parked by Reset under the same name is revived with its backing
-// arrays intact instead of being reallocated.
-func (r *Recorder) Observe(name string, t, v float64) {
-	s, ok := r.series[name]
-	if !ok {
-		if ps := r.pool[name]; ps != nil {
-			s = ps
-			delete(r.pool, name)
-		} else {
-			s = &Series{Name: name}
-			if n := r.reserve[name]; n > 0 {
-				s.Times = make([]float64, 0, n)
-				s.Values = make([]float64, 0, n)
-			}
+// Handle returns the declared series for appending, present or not; nil
+// when name was not declared.
+func (r *Recorder) Handle(name string) *Series {
+	for _, s := range r.series {
+		if s.Name == name {
+			return s
 		}
-		r.series[name] = s
-		r.order = append(r.order, name)
 	}
-	s.Append(t, v)
+	return nil
 }
 
-// Reset empties the recorder for a fresh run while keeping the recorded
-// series' backing arrays. Observable semantics match a newly constructed
-// recorder exactly — Names is empty and every Series lookup returns nil
-// until the name is observed again; a series that existed before the
-// reset but is never re-observed stays absent (presence is load-bearing:
-// Summarize and the CSV/JSON exporters key off it). Reserve hints
-// persist. Callers holding Series pointers across a Reset see their
-// arrays truncated in place — Clone before resetting to keep a run's
-// data.
+// Reset empties every series for a fresh run, keeping its backing arrays:
+// afterwards nothing is present, as on a new recorder. Callers holding
+// Series pointers across a Reset see their arrays truncated in place —
+// Clone before resetting to keep a run's data.
 func (r *Recorder) Reset() {
-	if len(r.series) > 0 && r.pool == nil {
-		r.pool = make(map[string]*Series, len(r.series))
-	}
-	for name, s := range r.series {
+	for _, s := range r.series {
 		s.Times = s.Times[:0]
 		s.Values = s.Values[:0]
-		r.pool[name] = s
-		delete(r.series, name)
 	}
-	r.order = r.order[:0]
 }
 
-// Series returns the named series, or nil.
-func (r *Recorder) Series(name string) *Series { return r.series[name] }
+// Series returns the named series, or nil when it is absent.
+func (r *Recorder) Series(name string) *Series {
+	if s := r.Handle(name); s != nil && s.Len() > 0 {
+		return s
+	}
+	return nil
+}
 
-// Names returns the series names in creation order.
+// Names returns the present series' names in declaration order.
 func (r *Recorder) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
-// Max is shorthand for Series(name).Max(); −Inf when the series is absent.
-func (r *Recorder) Max(name string) float64 {
-	if s := r.series[name]; s != nil {
-		return s.Max()
+	out := make([]string, 0, len(r.series))
+	for _, s := range r.series {
+		if s.Len() > 0 {
+			out = append(out, s.Name)
+		}
 	}
-	return math.Inf(-1)
+	return out
 }
 
 // --- Regression helpers ---

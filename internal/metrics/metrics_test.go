@@ -45,16 +45,19 @@ func TestMaxAfter(t *testing.T) {
 	}
 }
 
+// observe appends (t, v) to r's declared series name.
+func observe(r *Recorder, name string, t, v float64) { r.Handle(name).Append(t, v) }
+
 func TestRecorder(t *testing.T) {
-	r := NewRecorder()
-	r.Observe("a", 0, 1)
-	r.Observe("b", 0, 2)
-	r.Observe("a", 1, 3)
-	if got := r.Max("a"); got != 3 {
+	r := NewRecorder(0, "a", "b")
+	observe(r, "a", 0, 1)
+	observe(r, "b", 0, 2)
+	observe(r, "a", 1, 3)
+	if got := r.Series("a").Max(); got != 3 {
 		t.Errorf("Max(a) = %v", got)
 	}
-	if got := r.Max("missing"); !math.IsInf(got, -1) {
-		t.Errorf("Max(missing) = %v, want -Inf", got)
+	if r.Handle("missing") != nil {
+		t.Error("undeclared series has a handle")
 	}
 	names := r.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
@@ -179,9 +182,9 @@ func TestWelfordMatchesDirectComputation(t *testing.T) {
 	}
 }
 
-func BenchmarkObserve(b *testing.B) {
-	r := NewRecorder()
+func BenchmarkAppend(b *testing.B) {
+	s := NewRecorder(0, "bench").Handle("bench")
 	for i := 0; i < b.N; i++ {
-		r.Observe("bench", float64(i), float64(i%100))
+		s.Append(float64(i), float64(i%100))
 	}
 }

@@ -10,9 +10,9 @@
 //     a histogram observation is a binary search plus two atomics, and
 //     none of them allocate, so instrumenting the job pipeline cannot
 //     perturb it;
-//   - the registry is the single source of truth: the JSON endpoints
-//     (/v1/stats, /v1/healthz) derive their numbers from the same
-//     instruments /metrics scrapes, so the two views cannot drift.
+//   - the registry is the single source of truth: the JSON endpoint
+//     /v1/healthz derives its numbers from the same instruments /metrics
+//     scrapes, so the two views cannot drift.
 //
 // Instruments are registered once (by name, panicking on duplicates —
 // the same contract as ftgcs.Registry) and then updated lock-free.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -79,9 +80,9 @@ func dumpSystem(t *testing.T, sys *System) string {
 	buf.WriteString(seriesBytes(t, sys))
 	fmt.Fprintf(&buf, "report=%+v\nsummary=%+v\n", sys.Report(), sys.Summary(0.2))
 	for v := 0; v < sys.Nodes(); v++ {
-		times, values, modes := sys.RoundTrace(v)
+		times, values, pulses := sys.RoundTrace(v)
 		if times != nil {
-			fmt.Fprintf(&buf, "trace[%d]=%v|%v|%v\n", v, times, values, modes)
+			fmt.Fprintf(&buf, "trace[%d]=%v|%v|%v\n", v, times, values, pulses)
 		}
 	}
 	for c := 0; c < sys.Clusters(); c++ {
@@ -115,6 +116,9 @@ func TestSystemResetMatchesFreshBuild(t *testing.T) {
 			const seedA, seedB = 7, 99
 			wantA := dumpSystem(t, runFresh(t, sc, seedA))
 			wantB := dumpSystem(t, runFresh(t, sc, seedB))
+			if sc.trackRounds && !strings.Contains(wantA, "pd[0]=") {
+				t.Fatal("a round-tracking run dumped no pulse diameters")
+			}
 
 			sys, err := sc.With(WithSeed(seedA)).Build()
 			if err != nil {

@@ -278,7 +278,9 @@ func WithStaggerStart(window float64) Option {
 	return func(s *Scenario) { s.staggerStart = window }
 }
 
-// WithRoundTracking records per-node round boundaries, values and modes.
+// WithRoundTracking records per-node round traces: each round's start
+// time, logical value and pulse time (see core.Config.TrackRounds). Pulse
+// diameters are read from them.
 func WithRoundTracking() Option {
 	return func(s *Scenario) { s.trackRounds = true }
 }
@@ -322,8 +324,19 @@ func (s *Scenario) resolveParams() (Params, error) {
 	return p, nil
 }
 
-// Build wires the scenario into a runnable System.
+// Build wires the scenario into a runnable System. It refuses a scenario
+// with mid-run hooks: System.Run would never fire them, so such a scenario
+// runs through Scenario.Run or a Sweep.
 func (s *Scenario) Build() (*System, error) {
+	if len(s.hooks) > 0 {
+		return nil, fmt.Errorf("ftgcs: scenario %q has mid-run hooks, which only Scenario.Run and Sweep fire; Build would drop them", s.name)
+	}
+	return s.build()
+}
+
+// build wires the scenario into a System, hooks or not; the runners that
+// fire the hooks (RunContext, Sweep) build through it.
+func (s *Scenario) build() (*System, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -513,7 +526,7 @@ func (s *Scenario) Run() (Report, error) {
 // event prefix executed before cancellation is identical to an uncanceled
 // run's — cancellation never perturbs results, it only truncates them.
 func (s *Scenario) RunContext(ctx context.Context) (Report, error) {
-	sys, err := s.Build()
+	sys, err := s.build()
 	if err != nil {
 		return Report{}, err
 	}

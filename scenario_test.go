@@ -2,6 +2,7 @@ package ftgcs
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -47,6 +48,33 @@ func TestScenarioOptionErrors(t *testing.T) {
 		WithMidRunHook(2, func(*System) error { return nil }))
 	if _, err := late.Run(); err == nil {
 		t.Error("hook beyond horizon: Run should fail")
+	}
+}
+
+// TestBuildRefusesMidRunHooks: System.Run knows nothing of a scenario's
+// mid-run hooks, so Build refuses a hooked scenario and names the two
+// runners that fire them; both still run it.
+func TestBuildRefusesMidRunHooks(t *testing.T) {
+	fired := 0
+	sc := NewScenario(WithTopology(Line(2)), WithHorizon(1),
+		WithMidRunHook(0.5, func(*System) error { fired++; return nil }))
+	_, err := sc.Build()
+	if err == nil {
+		t.Fatal("Build accepted a scenario with a mid-run hook")
+	}
+	for _, want := range []string{"Scenario.Run", "Sweep"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Build error %q does not name %s", err, want)
+		}
+	}
+	if _, err := sc.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if _, err := RunSweep(sc); err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if fired != 2 {
+		t.Errorf("hook fired %d times over Run and Sweep, want 2", fired)
 	}
 }
 

@@ -83,12 +83,12 @@ echo "serve smoke OK: second submission was a cache hit with byte-identical resu
 # ε = 0.7 is outside (0, 1/2): the model cannot build this spec, so it is
 # a 400 at POST, not a queued job that fails on a worker and is then
 # served as a cached failure.
-runs_before=$(curl -fsS "$base/v1/stats" | sed -n 's/.*"runs":\([0-9]*\).*/\1/p')
+runs_before=$(curl -fsS "$base/v1/healthz" | sed -n 's/.*"runs":\([0-9]*\).*/\1/p')
 bad='{"spec": {"topology": {"name": "line", "size": 2}, "constants": {"eps": 0.7}}}'
 code=$(curl -s -o "$tmp/bad.json" -w '%{http_code}' -X POST -d "$bad" "$base/v1/experiments")
 [ "$code" = "400" ] || { echo "infeasible spec answered HTTP $code, want 400:"; cat "$tmp/bad.json"; exit 1; }
 ! grep -q '"retryable"' "$tmp/bad.json" || { echo "infeasible spec marked retryable:"; cat "$tmp/bad.json"; exit 1; }
-runs_after=$(curl -fsS "$base/v1/stats" | sed -n 's/.*"runs":\([0-9]*\).*/\1/p')
+runs_after=$(curl -fsS "$base/v1/healthz" | sed -n 's/.*"runs":\([0-9]*\).*/\1/p')
 [ -n "$runs_before" ] && [ "$runs_before" = "$runs_after" ] || { echo "infeasible spec consumed a run ($runs_before -> $runs_after)"; exit 1; }
 
 echo "serve smoke OK: infeasible spec rejected with 400 before any run"
@@ -112,7 +112,7 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/experiments/$id")
 
 # The server is alive, counted the cancellation, and its worker slot is
 # free: a fresh spec (new seed ⇒ new content hash) runs to completion.
-curl -fsS "$base/v1/stats" | grep -q '"canceled":1'
+curl -fsS "$base/v1/healthz" | grep -q '"canceled":1'
 req3="{\"spec\": $(sed 's/"seed": 1/"seed": 42/' examples/specs/line-quickstart.json)}"
 curl -fsS -X POST -d "$req3" "$base/v1/experiments?wait=true" >"$tmp/c3.json"
 grep -q '"state":"done"' "$tmp/c3.json" || { echo "post-cancel submission did not run:"; cat "$tmp/c3.json"; exit 1; }
@@ -184,7 +184,7 @@ curl -fsS -X POST -d @examples/manifests/e1-grid.json "$base/v1/manifests?wait=t
 grep -q '"state":"done"' "$tmp/m2.json" || { echo "manifest replay did not complete:"; cat "$tmp/m2.json"; exit 1; }
 grep -q '"fromCache":9' "$tmp/m2.json" || { echo "replay not fully cache-served:"; cat "$tmp/m2.json"; exit 1; }
 grep -q '"cached":"disk"' "$tmp/m2.json" || { echo "replay did not touch the disk tier:"; cat "$tmp/m2.json"; exit 1; }
-curl -fsS "$base/v1/stats" | grep -q '"runs":0' || { echo "replay recomputed work"; exit 1; }
+curl -fsS "$base/v1/healthz" | grep -q '"runs":0' || { echo "replay recomputed work"; exit 1; }
 
 # The replayed result is byte-identical modulo the cache-tier marker.
 curl -fsS "$base/v1/experiments/$jid" >"$tmp/j2.json"

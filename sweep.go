@@ -168,7 +168,7 @@ func (sw Sweep) runOne(ctx context.Context, sc *Scenario, index int, pool *Syste
 	}
 	if sys == nil {
 		var err error
-		if sys, err = sc.Build(); err != nil {
+		if sys, err = sc.build(); err != nil {
 			res.Err = err
 			return
 		}
