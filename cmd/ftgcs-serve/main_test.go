@@ -764,11 +764,9 @@ func TestWaiterGetsCanceledSnapshot(t *testing.T) {
 
 // TestStatsEndpoint: /v1/healthz serves the manager's counters under
 // "stats" — queue depth, jobs by state, cache hits/misses/evictions and
-// the coalesce count — and its cumulative counters agree with the
-// manager's (gauges can legitimately differ between two instants). It is
-// the one JSON stats view: there is no separate /v1/stats route.
+// the coalesce count.
 func TestStatsEndpoint(t *testing.T) {
-	ts, mgr := newTestServer(t, jobs.Options{})
+	ts, _ := newTestServer(t, jobs.Options{})
 
 	if code, body := post(t, ts, "/v1/experiments?wait=true", lineSpec); code != http.StatusOK {
 		t.Fatalf("submit: %d %s", code, body)
@@ -811,9 +809,6 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats.Submitted != 1 || stats.Runs != 1 || stats.Completed != 1 {
 		t.Fatalf("counters wrong: %s", body)
 	}
-	if m := mgr.Stats(); m.Submitted != stats.Submitted || m.Runs != stats.Runs || m.Completed != stats.Completed {
-		t.Errorf("healthz counters %s disagree with the manager's %+v", health.Stats, m)
-	}
 	if stats.CacheHits == 0 {
 		t.Fatalf("cache hit not counted: %s", body)
 	}
@@ -828,9 +823,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if *stats.CacheLen != 1 {
 		t.Fatalf("cacheLen = %d, want 1: %s", *stats.CacheLen, body)
-	}
-	if code, _ := get(t, ts, "/v1/stats"); code != http.StatusNotFound {
-		t.Errorf("GET /v1/stats = %d, want 404", code)
 	}
 }
 

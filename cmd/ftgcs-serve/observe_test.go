@@ -303,6 +303,39 @@ func TestWatchUnknownJob(t *testing.T) {
 	}
 }
 
+// TestStatsHealthzShareSnapshot: the stats /v1/healthz embeds come from
+// the manager's telemetry-backed counters, and healthz is the one JSON
+// stats view — there is no separate /v1/stats route.
+func TestStatsHealthzShareSnapshot(t *testing.T) {
+	ts, mgr := newObserveServer(t, jobs.Options{})
+	if code, body := post(t, ts, "/v1/experiments?wait=true", lineSpec); code != http.StatusOK {
+		t.Fatalf("POST: %d %s", code, body)
+	}
+
+	var health struct {
+		Status string     `json:"status"`
+		Stats  jobs.Stats `json:"stats"`
+	}
+	if code, body := get(t, ts, "/v1/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz: %d %s", code, body)
+	} else if err := json.Unmarshal(body, &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Status != "ok" {
+		t.Errorf("healthz status = %q", health.Status)
+	}
+	// The cumulative counters agree between healthz and the manager
+	// (gauges can legitimately differ between two instants).
+	for _, s := range []jobs.Stats{health.Stats, mgr.Stats()} {
+		if s.Submitted != 1 || s.Runs != 1 || s.Completed != 1 {
+			t.Errorf("counters disagree: %+v", s)
+		}
+	}
+	if code, _ := get(t, ts, "/v1/stats"); code != http.StatusNotFound {
+		t.Errorf("GET /v1/stats = %d, want 404", code)
+	}
+}
+
 // TestPprofGated: /debug/pprof/ is 404 without -pprof and serves the
 // index with it.
 func TestPprofGated(t *testing.T) {
